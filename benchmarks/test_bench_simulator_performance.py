@@ -20,13 +20,13 @@ import pytest
 from repro.analytic.mm1_sleep import evaluate_policy
 from repro.core.policy_manager import PolicyManager
 from repro.core.qos import MeanResponseTimeConstraint
-from repro.policies.space import full_space
+from repro.policies.space import full_space, single_state_space
 from repro.power.platform import xeon_power_model
-from repro.power.states import C6_S0I
+from repro.power.states import C6_S0I, C6_S3
 from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import TraceKernel
 from repro.workloads.generator import generate_jobs
-from repro.workloads.spec import dns_workload
+from repro.workloads.spec import dns_workload, google_workload
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,28 @@ def test_bench_policy_space_characterization(benchmark, power_model):
 
     selection = benchmark(manager.select, jobs, 0.3)
     assert selection.feasible
+
+
+@pytest.mark.benchmark(group="simulator")
+def test_bench_deep_sleep_characterization(benchmark, power_model):
+    """The policy space restricted to C6S3 (1 s wake-up) on Google-like jobs.
+
+    Every idle gap is shorter than the wake-up, so each candidate resolves a
+    long chain of closed gaps: the vectorized wake-delay chain path.
+    """
+    manager = PolicyManager(
+        power_model=power_model,
+        policy_space=single_state_space(power_model, C6_S3, frequency_step=0.1),
+        qos=MeanResponseTimeConstraint(5.0),
+        seed=0,
+    )
+    jobs = generate_jobs(
+        google_workload(empirical=False), num_jobs=2_000, utilization=0.3, seed=1
+    )
+
+    evaluations = benchmark(manager.characterize, jobs, 0.3)
+    assert len(evaluations) == manager.policy_space.size(0.3)
+    assert all(evaluation.mean_response_time > 0.5 for evaluation in evaluations)
 
 
 @pytest.mark.benchmark(group="simulator")

@@ -19,8 +19,8 @@ Two levels of API are provided:
 
 Characterisation is *batched* by default: all candidates are evaluated
 through one shared :class:`~repro.simulation.kernel.TraceKernel`, which
-reuses the trace's arrival/demand arrays and the per-frequency busy-period
-structure across every sleep state at that frequency
+reuses the trace's arrival/demand arrays, and candidates are grouped by
+frequency so every sleep state at a frequency is resolved in one kernel pass
 (:meth:`PolicyManager.characterize_batch`).  Construct the manager with
 ``backend="reference"`` to fall back to the per-job simulation loop.
 
@@ -135,6 +135,29 @@ def evaluation_from_result(
         meets_qos=qos.is_met(result),
         qos_slack=qos.slack(result),
     )
+
+
+def characterize_on_kernel(
+    kernel: TraceKernel, candidates: Sequence[Policy], qos: QosConstraint
+) -> tuple[PolicyEvaluation, ...]:
+    """Characterisation rows for *candidates*, one kernel pass per frequency.
+
+    Candidates are grouped by frequency (:meth:`TraceKernel.evaluate_many`
+    resolves every sleep sequence of a frequency at once); the rows come
+    back in candidate order and are byte-identical to evaluating each
+    policy on its own.
+    """
+    groups: dict[float, list[int]] = {}
+    for index, policy in enumerate(candidates):
+        groups.setdefault(policy.frequency, []).append(index)
+    rows: dict[int, PolicyEvaluation] = {}
+    for frequency, indices in groups.items():
+        results = kernel.evaluate_many(
+            frequency, [candidates[index].sleep for index in indices]
+        )
+        for index, result in zip(indices, results, strict=True):
+            rows[index] = evaluation_from_result(candidates[index], result, qos)
+    return tuple(rows[index] for index in range(len(candidates)))
 
 
 def pick_selection(evaluations: Sequence[PolicyEvaluation]) -> PolicySelection:
@@ -304,11 +327,6 @@ class PolicyManager:
 
     # -- characterisation -------------------------------------------------------------
 
-    def _evaluation_from_result(
-        self, policy: Policy, result: SimulationResult
-    ) -> PolicyEvaluation:
-        return evaluation_from_result(policy, result, self._qos)
-
     def _evaluate(self, policy: Policy, jobs: JobTrace) -> PolicyEvaluation:
         result = simulate_trace(
             jobs=jobs,
@@ -318,7 +336,7 @@ class PolicyManager:
             scaling=self._scaling,
             backend=self._backend,
         )
-        return self._evaluation_from_result(policy, result)
+        return evaluation_from_result(policy, result, self._qos)
 
     def characterize(
         self, jobs: JobTrace, utilization: float
@@ -343,19 +361,15 @@ class PolicyManager:
         """Evaluate every candidate policy through one shared trace kernel.
 
         The kernel is constructed once for *jobs*: the candidate space is a
-        (frequency × sleep-state) grid, so the no-wake busy-period structure
-        computed for the first sleep state at a given frequency is reused by
-        every other state at that frequency.  This is the per-epoch fast path
-        of the policy search.
+        (frequency × sleep-state) grid, so candidates are grouped by
+        frequency and each group is one kernel pass, which shares the
+        no-wake busy-period structure, resolves every sleep state's gaps and
+        assembles all their per-job response times as one states × jobs
+        array.  This is the per-epoch fast path of the policy search.
         """
         candidates = self._space.candidate_policies(utilization)
         kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
-        return tuple(
-            self._evaluation_from_result(
-                policy, kernel.evaluate(policy.frequency, policy.sleep)
-            )
-            for policy in candidates
-        )
+        return characterize_on_kernel(kernel, candidates, self._qos)
 
     def _sample_jobs(
         self, spec: WorkloadSpec, utilization: float, num_jobs: int | None

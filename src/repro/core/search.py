@@ -65,6 +65,7 @@ import numpy as np
 from repro.core.policy_manager import (
     PolicyEvaluation,
     PolicySelection,
+    characterize_on_kernel,
     evaluation_from_result,
     pick_selection,
 )
@@ -947,8 +948,13 @@ class PolicySearchEngine:
                 )
 
             return evaluate
+        kernel = self._kernel(jobs, trace_key)
+        return lambda policy: kernel.solve(policy.frequency, policy.sleep)
+
+    def _kernel(self, jobs: JobTrace, trace_key: str | None) -> TraceKernel:
+        """The trace kernel for *jobs* (shared through the cache if attached)."""
         if self._cache is not None and trace_key is not None:
-            kernel = self._cache.kernel_for(
+            return self._cache.kernel_for(
                 jobs,
                 trace_key,
                 self._power_model,
@@ -956,9 +962,7 @@ class PolicySearchEngine:
                 self._scaling,
                 self._scaling_key,
             )
-        else:
-            kernel = TraceKernel(jobs, self._power_model, scaling=self._scaling)
-        return lambda policy: kernel.solve(policy.frequency, policy.sleep)
+        return TraceKernel(jobs, self._power_model, scaling=self._scaling)
 
     # -- characterisation -----------------------------------------------------
 
@@ -1002,8 +1006,12 @@ class PolicySearchEngine:
             if grid is not None
             else self._space.candidate_policies(utilization)
         )
-        evaluate = self._evaluator(jobs, trace_key)
         self.stats.candidates_evaluated += len(candidates)
+        if self._backend == BACKEND_VECTORIZED:
+            return characterize_on_kernel(
+                self._kernel(jobs, trace_key), candidates, self._qos
+            )
+        evaluate = self._evaluator(jobs, trace_key)
         return tuple(
             evaluation_from_result(policy, evaluate(policy).result, self._qos)
             for policy in candidates

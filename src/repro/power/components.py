@@ -155,10 +155,30 @@ class ComponentInventory:
     cpu: CpuPowerModel
     components: tuple[ComponentPower, ...] = field(default_factory=tuple)
     name: str = "custom"
+    #: ``platform_power`` per mode, filled on first use (at most one entry
+    #: per :class:`ComponentMode`); not part of equality, repr or pickles.
+    _platform_cache: dict[ComponentMode, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_platform_cache"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _platform_cache={})
 
     def platform_power(self, mode: ComponentMode) -> float:
-        """Total non-CPU platform power (watts) with every component in *mode*."""
-        return sum(component.power(mode) for component in self.components)
+        """Total non-CPU platform power (watts) with every component in *mode*.
+
+        Independent of the CPU frequency, so it is summed once per mode.
+        """
+        value = self._platform_cache.get(mode)
+        if value is None:
+            value = sum(component.power(mode) for component in self.components)
+            self._platform_cache[mode] = value
+        return value
 
     def component(self, name: str) -> ComponentPower:
         """Look up a component by name (case-insensitive)."""

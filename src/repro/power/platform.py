@@ -136,8 +136,9 @@ class ServerPowerModel:
 
     def wake_up_latency(self, state: SystemState) -> float:
         """Average wake-up latency (seconds) from low-power *state*."""
-        if state in self.wake_up_latencies:
-            return float(self.wake_up_latencies[state])
+        latency = self.wake_up_latencies.get(state)
+        if latency is not None:
+            return float(latency)
         return default_wake_up_latency(state)
 
     def sleep_state_spec(

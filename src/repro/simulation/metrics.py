@@ -27,31 +27,42 @@ from repro.exceptions import ConfigurationError
 def linear_percentile(values: np.ndarray, percentile: float) -> float:
     """The linear-interpolation percentile, identical to :func:`np.percentile`.
 
-    Implemented with :func:`np.partition` (selection, O(n)) instead of a full
-    sort, and replicating NumPy's lerp branch exactly so results are
-    bit-for-bit the same as ``np.percentile(values, percentile)`` with the
-    default linear interpolation.  NaN inputs propagate to ``nan`` just as
-    ``np.percentile`` propagates them.  ``values`` must be non-empty and is
-    not modified.
+    ``values`` must be non-empty and is not modified; see
+    :func:`linear_percentile_rows`, of which this is the one-row case.
     """
-    values = np.asarray(values)
-    if np.isnan(values).any():
-        return math.nan
-    size = values.size
+    return float(
+        linear_percentile_rows(np.asarray(values).reshape(1, -1), percentile)[0]
+    )
+
+
+def linear_percentile_rows(rows: np.ndarray, percentile: float) -> np.ndarray:
+    """The linear-interpolation percentile of every row of a 2-D array.
+
+    Implemented with :func:`np.partition` (selection, O(n)) instead of a full
+    sort, and replicating NumPy's lerp branch exactly so each entry is
+    bit-for-bit ``np.percentile(rows[i], percentile)`` with the default
+    linear interpolation.  A row containing NaN gives ``nan``, just as
+    ``np.percentile`` propagates it.  Rows must be non-empty.
+    """
+    size = rows.shape[1]
     if size == 1:
-        return float(values[0])
-    rank = (size - 1) * (percentile / 100.0)
-    lower = int(rank)
-    if lower >= size - 1:
-        return float(np.max(values))
-    gamma = rank - lower
-    part = np.partition(values, (lower, lower + 1))
-    low_value = part[lower]
-    high_value = part[lower + 1]
-    diff = high_value - low_value
-    if gamma >= 0.5:
-        return float(high_value - diff * (1.0 - gamma))
-    return float(low_value + diff * gamma)
+        values = rows[:, 0].astype(float)
+    else:
+        rank = (size - 1) * (percentile / 100.0)
+        lower = int(rank)
+        if lower >= size - 1:
+            values = np.max(rows, axis=1)
+        else:
+            gamma = rank - lower
+            part = np.partition(rows, (lower, lower + 1), axis=1)
+            low_value = part[:, lower]
+            high_value = part[:, lower + 1]
+            diff = high_value - low_value
+            if gamma >= 0.5:
+                values = high_value - diff * (1.0 - gamma)
+            else:
+                values = low_value + diff * gamma
+    return np.where(np.isnan(rows).any(axis=1), math.nan, values)
 
 #: Residency key for time spent actively serving jobs.
 STATE_SERVING = "serving"
@@ -196,6 +207,19 @@ class SimulationResult:
             value = linear_percentile(self.response_times, percentile)
             cache[percentile] = value
         return value
+
+    def prime_statistics(
+        self, mean_response_time: float, percentiles: Mapping[float, float]
+    ) -> None:
+        """Install response-time statistics computed elsewhere.
+
+        For batched evaluation, which computes them row-wise over many
+        results at once.  The values must be exactly what
+        :attr:`mean_response_time` and :meth:`response_time_percentile`
+        would compute, since they are returned in their place.
+        """
+        self.__dict__["mean_response_time"] = mean_response_time
+        self.__dict__.setdefault("_percentile_cache", {}).update(percentiles)
 
     def exceedance_probability(self, deadline: float) -> float:
         """Empirical ``Pr(R >= d)`` for the given *deadline* in seconds."""

@@ -17,13 +17,19 @@ from repro.power.platform import xeon_power_model
 from repro.power.sleep import SleepSequence, SleepStateSpec
 from repro.power.states import LOW_POWER_STATES, C6_S0I
 from repro.simulation.engine import simulate_trace
-from repro.simulation.kernel import TraceKernel, _resolve_gaps
+from repro.simulation.kernel import (
+    CHAIN_VECTOR_MIN_RISKY,
+    TraceKernel,
+    _resolve_gaps,
+)
 from repro.simulation.service_scaling import (
     ServiceScaling,
     cpu_bound,
     memory_bound,
 )
+from repro.workloads.generator import generate_jobs
 from repro.workloads.jobs import JobTrace
+from repro.workloads.spec import google_workload
 
 RTOL = 1e-9
 ATOL = 1e-12
@@ -135,15 +141,37 @@ class TestRandomizedEquivalence:
             jobs, 0.8, sleep, power_model, start_time=start, busy_until=busy
         )
 
-    def test_large_wake_latencies_force_gap_closures(self, power_model):
+    @pytest.mark.parametrize(
+        "trace, wake_up_latency",
+        [
+            ("random", 0.15),
+            # A 1 s (C6S3-like) wake-up on millisecond Google-like jobs: every
+            # gap is risky, so the vectorized chain resolves it.
+            ("google", 1.0),
+        ],
+    )
+    def test_large_wake_latencies_force_gap_closures(
+        self, power_model, trace, wake_up_latency
+    ):
         # Wake-up latencies comparable to the inter-arrival gaps make carried
         # delays swallow whole idle gaps, exercising the risky-gap chain.
         rng = np.random.default_rng(7)
-        jobs = random_trace(rng, num_jobs=500, utilization=0.6, mean_service=0.1)
+        if trace == "google":
+            jobs = generate_jobs(
+                google_workload(empirical=False),
+                num_jobs=3_000,
+                utilization=0.3,
+                rng=rng,
+            )
+        else:
+            jobs = random_trace(rng, num_jobs=500, utilization=0.6, mean_service=0.1)
         sleep = SleepSequence(
             [
                 SleepStateSpec(
-                    state=C6_S0I, power=5.0, entry_delay=0.0, wake_up_latency=0.15
+                    state=C6_S0I,
+                    power=5.0,
+                    entry_delay=0.0,
+                    wake_up_latency=wake_up_latency,
                 )
             ]
         )
@@ -153,10 +181,12 @@ class TestRandomizedEquivalence:
         kernel = TraceKernel(jobs, power_model, scaling=cpu_bound())
         _, _, _, _, idle0 = kernel._structure(1.0)[:5]
         _, _, survived, _, _ = _resolve_gaps(
-            idle0, np.array([0.0]), np.array([0.15])
+            idle0, np.array([0.0]), np.array([wake_up_latency])
         )
         assert not survived.all()
         assert vectorized.wake_up_count == int(survived.sum())
+        if trace == "google":
+            assert (idle0 < wake_up_latency).sum() > CHAIN_VECTOR_MIN_RISKY
 
 
 class TestHandCraftedEdgeCases:
