@@ -29,7 +29,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
-from repro.core.search import SEARCH_FULL, validate_search
+from repro.core.search import SEARCH_FRONTIER, validate_search
 from repro.exceptions import CampaignError
 from repro.simulation.kernel import BACKEND_VECTORIZED, validate_backend
 
@@ -166,7 +166,7 @@ class CampaignSpec:
     num_jobs: int | None = None
     frequency_step: float | None = None
     backend: str = BACKEND_VECTORIZED
-    search: str = SEARCH_FULL
+    search: str = SEARCH_FRONTIER
 
     def __post_init__(self) -> None:
         if not self.name:

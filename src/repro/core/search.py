@@ -42,6 +42,16 @@ asserts on whole scenario runs.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
 
+* ``"frontier"`` is the default search of the strategies, scenarios, the
+  ``run-scenario`` CLI and campaigns; ``"full"`` stays the oracle and
+  :class:`~repro.core.policy_manager.PolicyManager`'s default, because its
+  selections carry the whole table figure code reads.  No entry point
+  attaches a cache on its own: sharing one is opt-in
+  (``ServerFarm(search_cache=...)``);
+* a frontier search holds the per-job arrays of at most the probe it is
+  reading (probes release them once slack and feasibility are read, and
+  the winner is solved once more for its row), and the engine keeps the
+  candidate grid of the last frequency axis only;
 * frontier selections carry only the winning evaluation in
   ``PolicySelection.evaluations`` (the probed metrics are engine-internal);
   use ``search="full"`` or :meth:`PolicySearchEngine.characterize` when the
@@ -321,41 +331,43 @@ class _ResultSolution:
 class _Probe:
     """One evaluated candidate, with QoS metrics computed lazily.
 
-    Average power is available immediately (scalar aggregates of the gap
+    Average power is read immediately (a scalar aggregate of the gap
     solution); slack and feasibility materialise the per-job arrays on
     first access, so valley probes — which only ever compare power — never
-    pay for them.  ``slack_computed`` lets the certificate check slack
-    monotonicity over exactly the probes whose slack the search actually
-    used.
+    pay for them.  Once slack and feasibility have been read the solution
+    is released, so a search holds the per-job arrays of at most the probe
+    it is reading, not of every probe it has made.  ``slack_computed`` lets
+    the certificate check slack monotonicity over exactly the probes whose
+    slack the search actually used.
     """
 
-    __slots__ = ("solution", "_qos", "_slack", "_meets")
+    __slots__ = ("power", "_solution", "_qos", "_metrics")
 
     def __init__(self, solution, qos: QosConstraint):
-        self.solution = solution
+        self.power: float = solution.average_power
+        self._solution = solution
         self._qos = qos
-        self._slack = None
-        self._meets = None
+        self._metrics: tuple[float, bool] | None = None
 
-    @property
-    def power(self) -> float:
-        return self.solution.average_power
+    def _qos_metrics(self) -> tuple[float, bool]:
+        """``(slack, meets)``, read once; the solution is dropped after."""
+        if self._metrics is None:
+            result = self._solution.result
+            self._metrics = (self._qos.slack(result), self._qos.is_met(result))
+            self._solution = None
+        return self._metrics
 
     @property
     def slack(self) -> float:
-        if self._slack is None:
-            self._slack = self._qos.slack(self.solution.result)
-        return self._slack
+        return self._qos_metrics()[0]
 
     @property
     def meets(self) -> bool:
-        if self._meets is None:
-            self._meets = self._qos.is_met(self.solution.result)
-        return self._meets
+        return self._qos_metrics()[1]
 
     @property
     def slack_computed(self) -> bool:
-        return self._slack is not None or self._meets is not None
+        return self._metrics is not None
 
 
 class _PolicyGrid:
@@ -465,7 +477,10 @@ class SearchStats:
     frontier_selections: int = 0
     fallback_columns: int = 0
     fallback_full: int = 0
+    #: Grid cells of every searched selection, once per selection in either
+    #: mode (selection-cache hits are not searched, so not counted).
     candidates_seen: int = 0
+    #: Cells actually solved (a frontier -> full fallback solves some twice).
     candidates_evaluated: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -804,8 +819,8 @@ class FrontierSearch:
         grid: _PolicyGrid,
         probe: Callable[[int, int], _Probe],
         stats: SearchStats,
-    ) -> tuple[int, int, _Probe] | None:
-        """The winning grid cell ``(freq index, variant index, probe)``.
+    ) -> tuple[int, int] | None:
+        """The winning grid cell ``(freq index, variant index)``.
 
         ``None`` means no candidate anywhere is feasible (the caller must
         fall back to the exhaustive grid for oracle-identical infeasible
@@ -814,7 +829,6 @@ class FrontierSearch:
         feasible minimum.
         """
         best: tuple[float, int, int] | None = None
-        best_probe: _Probe | None = None
         for variant in range(grid.num_variants):
             try:
                 winner = self._column_winner(grid, variant, probe)
@@ -824,14 +838,12 @@ class FrontierSearch:
                 winner = self._exhaustive_column(grid, variant, probe)
             if winner is None:
                 continue
-            entry = probe(winner, variant)
-            order = (entry.power, winner, variant)
+            order = (probe(winner, variant).power, winner, variant)
             if best is None or order < best:
                 best = order
-                best_probe = entry
-        if best is None or best_probe is None:
+        if best is None:
             return None
-        return best[1], best[2], best_probe
+        return best[1], best[2]
 
     @staticmethod
     def _exhaustive_column(
@@ -890,11 +902,12 @@ class PolicySearchEngine:
         self._quantum = float(utilization_quantum)
         quantize_utilization(0.0, self._quantum)  # validates the quantum
         self._frontier = FrontierSearch()
-        #: Small LRU of candidate grids keyed by the frequency axis: two
+        #: The candidate grid of the last frequency axis: consecutive
         #: utilisations whose stability pruning yields the same axis share
         #: the same candidate policies, so the (pure-Python, surprisingly
-        #: expensive) policy construction is not repeated per epoch.
-        self._grids: OrderedDict[bytes, _PolicyGrid | None] = OrderedDict()
+        #: expensive) policy construction is not repeated per epoch.  Older
+        #: axes are dropped — keeping more bought no extra hits.
+        self._grids: dict[bytes, _PolicyGrid | None] = {}
         self.stats = SearchStats()
         self._power_key = power_model_fingerprint(power_model)
         self._space_key = policy_space_fingerprint(policy_space)
@@ -984,18 +997,14 @@ class PolicySearchEngine:
         return table
 
     def _grid_for(self, utilization: float) -> "_PolicyGrid | None":
-        """The candidate grid at *utilization*, cached by frequency axis."""
+        """The candidate grid at *utilization* (reused while the axis holds)."""
         frequencies = self._space.candidate_frequencies(utilization)
         key = frequencies.tobytes()
-        grid = self._grids.get(key)
         if key not in self._grids:
-            grid = _PolicyGrid.build(self._space, utilization, frequencies)
-            self._grids[key] = grid
-            while len(self._grids) > 16:
-                self._grids.popitem(last=False)
-        else:
-            self._grids.move_to_end(key)
-        return grid
+            self._grids = {
+                key: _PolicyGrid.build(self._space, utilization, frequencies)
+            }
+        return self._grids[key]
 
     def _full_table(
         self, jobs: JobTrace, utilization: float, trace_key: str | None
@@ -1030,15 +1039,16 @@ class PolicySearchEngine:
             cached = self._cache.lookup_selection(self._search, key)
             if cached is not None:
                 return cached
+        selection = None
         if self._search == SEARCH_FRONTIER and len(jobs) > 0:
             selection = self._frontier_select(jobs, utilization, trace_key)
-        else:
-            selection = None
         if selection is None:
             self.stats.full_selections += 1
-            selection = pick_selection(
-                self._table_for_selection(jobs, utilization, trace_key, key)
-            )
+            table = self._table_for_selection(jobs, utilization, trace_key, key)
+            # A frontier selection counts its grid only when it succeeds, so
+            # a frontier -> full fallback is counted here, exactly once.
+            self.stats.candidates_seen += len(table)
+            selection = pick_selection(table)
         if self._cache is not None and key is not None:
             self._cache.store_selection(self._search, key, selection)
         return selection
@@ -1080,18 +1090,19 @@ class PolicySearchEngine:
                 self.stats.candidates_evaluated += 1
             return entry
 
-        # Count without touching grid.policies: materialising every cell
-        # just to count it would defeat the lazy grid.
-        self.stats.candidates_seen += grid.num_frequencies * grid.num_variants
         winner = self._frontier.run(grid, probe, self.stats)
         if winner is None:
             # Nothing feasible anywhere: the oracle ranks by largest slack
             # over the whole table, so only the exhaustive grid can match it.
             self.stats.fallback_full += 1
             return None
-        freq_index, variant_index, entry = winner
-        best = evaluation_from_result(
-            grid.policy_at(freq_index, variant_index), entry.solution.result, qos
-        )
+        # The probes released their per-job arrays once read, so the winning
+        # cell is solved once more for its table row (the kernel is
+        # deterministic: the row is the one the probe saw).
+        policy = grid.policy_at(*winner)
+        best = evaluation_from_result(policy, evaluate(policy).result, qos)
         self.stats.frontier_selections += 1
+        # Count without touching grid.policies: materialising every cell
+        # just to count it would defeat the lazy grid.
+        self.stats.candidates_seen += grid.num_frequencies * grid.num_variants
         return PolicySelection(best=best, evaluations=(best,), feasible=True)

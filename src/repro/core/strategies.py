@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.policy_manager import PolicyManager, PolicySelection
-from repro.core.search import SEARCH_FULL, CharacterizationCache, SearchStats
+from repro.core.search import SEARCH_FRONTIER, CharacterizationCache, SearchStats
 from repro.core.qos import QosConstraint
 from repro.exceptions import ConfigurationError
 from repro.policies.policy import Policy, race_to_halt_policy
@@ -91,10 +91,12 @@ class PolicySearchStrategy(PowerManagementStrategy):
     predicted utilisation (Section 5.2.1/5.2.2); otherwise a synthetic stream
     is sampled from the workload spec at the predicted utilisation.
 
-    The per-epoch search itself runs through the policy manager's search
-    engine when *search* is ``"frontier"`` or a *cache* handle is supplied
-    (see :mod:`repro.core.search`); the selected policy is identical to the
-    full-grid search either way.
+    The per-epoch search runs through the policy manager's search engine:
+    by default the ``"frontier"`` search (see :mod:`repro.core.search`),
+    whose selected policy is identical to the ``"full"`` grid oracle's.
+    Frontier selections carry only the winning row, so pass
+    ``search="full"`` when :attr:`last_selection` must hold the whole
+    characterisation table.  A *cache* handle is opt-in.
     """
 
     def __init__(
@@ -109,7 +111,7 @@ class PolicySearchStrategy(PowerManagementStrategy):
         min_utilization: float = 0.02,
         seed: int | None = 0,
         backend: str = BACKEND_VECTORIZED,
-        search: str = SEARCH_FULL,
+        search: str = SEARCH_FRONTIER,
         cache: CharacterizationCache | None = None,
         utilization_quantum: float = 0.0,
     ):
@@ -135,7 +137,7 @@ class PolicySearchStrategy(PowerManagementStrategy):
 
     @property
     def last_selection(self) -> PolicySelection | None:
-        """Full characterisation table of the most recent selection."""
+        """The most recent selection (the whole table only under ``"full"``)."""
         return self._last_selection
 
     @property
@@ -229,7 +231,7 @@ def sleepscale_strategy(
     max_logged_jobs: int = 5_000,
     seed: int | None = 0,
     backend: str = BACKEND_VECTORIZED,
-    search: str = SEARCH_FULL,
+    search: str = SEARCH_FRONTIER,
     cache: CharacterizationCache | None = None,
 ) -> PolicySearchStrategy:
     """The full SleepScale strategy (SS): all low-power states, joint search."""
@@ -259,7 +261,7 @@ def sleepscale_single_state_strategy(
     max_logged_jobs: int = 5_000,
     seed: int | None = 0,
     backend: str = BACKEND_VECTORIZED,
-    search: str = SEARCH_FULL,
+    search: str = SEARCH_FRONTIER,
     cache: CharacterizationCache | None = None,
 ) -> PolicySearchStrategy:
     """SleepScale restricted to a single low-power state — SS(C3) in the paper."""
@@ -290,7 +292,7 @@ def dvfs_only_strategy(
     max_logged_jobs: int = 5_000,
     seed: int | None = 0,
     backend: str = BACKEND_VECTORIZED,
-    search: str = SEARCH_FULL,
+    search: str = SEARCH_FRONTIER,
     cache: CharacterizationCache | None = None,
 ) -> PolicySearchStrategy:
     """The DVFS-only baseline: frequency search but no low-power state at all."""

@@ -119,7 +119,7 @@ from repro.scenarios import (
     get_scenario,
     scenario_catalog,
 )
-from repro.core.search import SEARCHES, SEARCH_FULL
+from repro.core.search import SEARCHES, SEARCH_FRONTIER
 from repro.simulation.kernel import BACKENDS, BACKEND_VECTORIZED
 from repro.workloads.storage import TRACE_BACKENDS
 
@@ -288,7 +288,7 @@ def run_scenario(
     *,
     seed: int = 0,
     backend: str = BACKEND_VECTORIZED,
-    search: str = SEARCH_FULL,
+    search: str = SEARCH_FRONTIER,
     executor: Executor | str | None = None,
     max_workers: int | None = None,
     chunk_jobs: int | None = None,
@@ -305,11 +305,13 @@ def run_scenario(
     """Build, run and report one registered scenario.
 
     *overrides* maps declared parameter names to values (unknown names are
-    rejected by the scenario).  *executor*/*max_workers* select how the farm
-    fans its per-server epoch loops out (serial, thread pool, or process
-    sharding — the report is identical whichever executes, which is why the
-    schema carries no executor field).  *trace_backend* selects where the
-    trace's arrays live while the farm runs (``"memory"``/``"shm"``/
+    rejected by the scenario).  *search* is the per-epoch policy-search
+    mode: ``"frontier"`` by default, or the ``"full"`` oracle (the reports
+    differ only in their ``search`` field).  *executor*/*max_workers* select
+    how the farm fans its per-server epoch loops out (serial, thread pool,
+    or process sharding — the report is identical whichever executes, which
+    is why the schema carries no executor field).  *trace_backend* selects
+    where the trace's arrays live while the farm runs (``"memory"``/``"shm"``/
     ``"mmap"``; storage is result-invisible like the executor, so the schema
     carries no backend field either).  *chunk_jobs* overrides the farm's
     streaming chunk size (``0`` forces a one-shot run even if the scenario
@@ -913,11 +915,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--search-mode",
         choices=list(SEARCHES),
-        default=SEARCH_FULL,
+        default=SEARCH_FRONTIER,
         help=(
-            "per-epoch policy-search mode: 'full' walks the whole candidate "
-            "grid, 'frontier' bisects it with a farm-shared characterisation "
-            "cache (selected policies are identical either way)"
+            "per-epoch policy-search mode: 'frontier' (default) bisects the "
+            "candidate grid, 'full' walks all of it and is the oracle "
+            "(selected policies are identical either way)"
         ),
     )
     parser.add_argument(

@@ -36,7 +36,7 @@ from repro.cluster.farm import ServerFarm
 from repro.cluster.tenancy import FarmQos
 from repro.core.qos import QosConstraint
 from repro.concurrency import Executor, validate_executor
-from repro.core.search import SEARCH_FULL, validate_search
+from repro.core.search import SEARCH_FRONTIER, validate_search
 from repro.exceptions import ScenarioError
 from repro.simulation.kernel import BACKEND_VECTORIZED, validate_backend
 from repro.workloads.jobs import JobTrace
@@ -77,7 +77,7 @@ class BuiltScenario:
     backend: str = BACKEND_VECTORIZED
     seed: int = 0
     #: Policy-search mode every search strategy of the farm was built with.
-    search: str = SEARCH_FULL
+    search: str = SEARCH_FRONTIER
     #: Filled in by :meth:`Scenario.build` from the scenario's description
     #: when the builder leaves it empty, so reports never need the registry.
     description: str = ""
@@ -159,7 +159,7 @@ class Scenario:
         *,
         seed: int = 0,
         backend: str = BACKEND_VECTORIZED,
-        search: str = SEARCH_FULL,
+        search: str = SEARCH_FRONTIER,
         executor: Executor | str | None = None,
         trace_backend: str | None = None,
         controller: FarmController | str | None = None,
@@ -170,9 +170,11 @@ class Scenario:
 
         Unknown override names are rejected rather than silently ignored, so
         a typo in a CLI ``--set`` flag fails loudly.  ``search`` selects the
-        per-epoch policy-search mode (``"full"`` or ``"frontier"``) every
-        search strategy of the scenario is built with; ``"frontier"`` also
-        attaches one shared characterisation cache across the farm.
+        per-epoch policy-search mode every search strategy of the scenario
+        is built with: ``"frontier"`` (the default) bisects the candidate
+        grid, ``"full"`` walks all of it and is the oracle; the selected
+        policies are identical.  No characterisation cache is attached
+        (``ServerFarm(search_cache=...)`` opts in).
         ``executor`` selects how the built farm fans its per-server epoch
         loops out (``"serial"``/``"thread"``/``"process"``) and
         ``trace_backend`` where the trace's arrays live while it runs

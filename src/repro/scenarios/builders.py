@@ -86,7 +86,7 @@ from repro.core.qos import (
     percentile_qos_from_baseline,
 )
 from repro.core.runtime import RuntimeConfig
-from repro.core.search import SEARCH_FRONTIER, CharacterizationCache
+from repro.core.search import SEARCH_FRONTIER
 from repro.core.strategies import (
     PolicySearchStrategy,
     RaceToHaltStrategy,
@@ -170,7 +170,7 @@ def _sleepscale_server(
     *,
     seed: int,
     backend: str,
-    search: str = "full",
+    search: str = SEARCH_FRONTIER,
     epoch_minutes: float = 5.0,
     max_frequency: float = 1.0,
     qos: QosConstraint | None = None,
@@ -203,18 +203,13 @@ def _sleepscale_server(
     )
 
 
-def _shared_cache(search: str) -> CharacterizationCache | None:
-    """One farm-wide characterisation cache for frontier-search scenarios."""
-    return CharacterizationCache() if search == SEARCH_FRONTIER else None
-
-
 def _xeon_farm(
     num_servers: int,
     spec: WorkloadSpec,
     *,
     seed: int,
     backend: str,
-    search: str = "full",
+    search: str = SEARCH_FRONTIER,
     dispatcher: JobDispatcher | None = None,
     epoch_minutes: float = 5.0,
     qos: FarmQos | None = None,
@@ -238,7 +233,6 @@ def _xeon_farm(
         servers=servers,
         spec=spec,
         dispatcher=dispatcher or RoundRobinDispatcher(),
-        search_cache=_shared_cache(search),
         qos=qos,
     )
 
@@ -901,7 +895,6 @@ def build_heterogeneous_farm(
         servers=tuple(servers),
         spec=spec,
         dispatcher=dispatcher,
-        search_cache=_shared_cache(search),
     )
     return BuiltScenario(
         name="heterogeneous-farm",
@@ -1022,7 +1015,6 @@ def build_farm_scale(
         spec=spec,
         dispatcher=dispatcher,
         chunk_jobs=chunk_jobs or None,
-        search_cache=_shared_cache(search),
     )
     return BuiltScenario(
         name="farm-scale",
@@ -1143,7 +1135,6 @@ def build_mega_farm(
         servers=tuple(servers),
         spec=spec,
         dispatcher=LeastLoadedDispatcher(),
-        search_cache=_shared_cache(search),
     )
     return BuiltScenario(
         name="mega-farm",

@@ -135,6 +135,18 @@ class TestRegistryMatchesRuntime:
         names = [contract.name for contract in PARITY_REGISTRY]
         assert len(names) == len(set(names))
 
+    def test_scenario_search_parity_is_policy_search_evidence(self):
+        """The scenario-level default-vs-oracle suite alone satisfies the
+        ``policy-search`` contract, so it stays registered evidence even if
+        the per-input fuzz suite moves."""
+        (contract,) = [c for c in PARITY_REGISTRY if c.name == "policy-search"]
+        module = FileContext.parse(REPO_ROOT / "src" / "repro" / "core" / "search.py")
+        suite = FileContext.parse(
+            REPO_ROOT / "tests" / "scenarios" / "test_search_parity.py"
+        )
+        rule = OracleParityRule(registry=(contract,))
+        assert list(rule.check_project([module, suite])) == []
+
 
 class TestShippedTree:
     """The acceptance gate: the repo's own tree analyzes clean."""

@@ -10,12 +10,18 @@ cache threading.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
+import repro.core.search as search_module
+import repro.simulation.kernel as kernel_module
+
 from repro.cluster.farm import ClusterRuntime, ServerFarm, ServerSpec
-from repro.core.policy_manager import PolicyManager
+from repro.core.policy_manager import PolicyManager, evaluation_from_result
 from repro.core.qos import (
+    PercentileResponseTimeConstraint,
     QosConstraint,
     mean_qos_from_baseline,
     percentile_qos_from_baseline,
@@ -25,6 +31,7 @@ from repro.core.search import (
     SEARCH_FRONTIER,
     SEARCH_FULL,
     CharacterizationCache,
+    PolicySearchEngine,
     _PolicyGrid,
     policy_space_fingerprint,
     power_model_fingerprint,
@@ -43,13 +50,16 @@ from repro.policies.space import (
 )
 from repro.power.states import C3_S0I, C6_S0I
 from repro.prediction.naive import NaivePreviousPredictor
+from repro.simulation.kernel import TraceKernel
 from repro.workloads.generator import generate_jobs
 from repro.workloads.jobs import JobTrace
 
 
 def _managers(power_model, space, qos, backend="vectorized", cache=None):
     """A (full oracle, frontier) pair over identical configuration."""
-    full = PolicyManager(power_model, space, qos, seed=0, backend=backend)
+    full = PolicyManager(
+        power_model, space, qos, seed=0, backend=backend, search=SEARCH_FULL
+    )
     frontier = PolicyManager(
         power_model,
         space,
@@ -278,8 +288,6 @@ class TestFallbacks:
         tight = percentile_qos_from_baseline(0.8, dns_ideal.mean_service_time)
         del qos
         space = full_space(xeon, frequency_step=0.05)
-        from repro.core.qos import PercentileResponseTimeConstraint
-
         needle = PercentileResponseTimeConstraint(deadline=1e-6)
         full, frontier = _managers(xeon, space, needle)
         del tight
@@ -292,6 +300,132 @@ class TestFallbacks:
         assert oracle.feasible is False
         assert fast.policy == oracle.policy
         assert fast.feasible is False
+
+
+def _jobs(spec, utilization, seed, num_jobs=400):
+    return generate_jobs(
+        spec, num_jobs=num_jobs, utilization=utilization,
+        rng=np.random.default_rng(seed),
+    )
+
+
+class TestSearchStats:
+    @pytest.mark.parametrize("search", [SEARCH_FULL, SEARCH_FRONTIER])
+    def test_candidates_seen_is_grid_size_per_selection(
+        self, xeon, dns_ideal, search
+    ):
+        space = full_space(xeon, frequency_step=0.05)
+        engine = PolicySearchEngine(
+            xeon, space, mean_qos_from_baseline(0.8), search=search,
+            cache=CharacterizationCache(),
+        )
+        utilizations = (0.2, 0.35, 0.5)
+        for seed, utilization in enumerate(utilizations):
+            engine.select(_jobs(dns_ideal, utilization, seed), utilization)
+        stats = engine.stats
+        assert stats.selections == len(utilizations)
+        assert stats.candidates_seen == sum(space.size(u) for u in utilizations)
+        if search == SEARCH_FULL:
+            assert stats.candidates_evaluated == stats.candidates_seen
+        else:
+            assert stats.frontier_selections == len(utilizations)
+            assert stats.candidates_evaluated < stats.candidates_seen
+
+    def test_frontier_fallback_to_full_counts_the_grid_once(
+        self, xeon, dns_ideal
+    ):
+        space = full_space(xeon, frequency_step=0.05)
+        needle = PercentileResponseTimeConstraint(deadline=1e-6)
+        engine = PolicySearchEngine(xeon, space, needle, search=SEARCH_FRONTIER)
+        engine.select(_jobs(dns_ideal, 0.4, 9), 0.4)
+        stats = engine.stats
+        assert stats.fallback_full == stats.full_selections == 1
+        assert stats.candidates_seen == space.size(0.4)
+        # The probes of the abandoned frontier pass plus the whole grid.
+        assert stats.candidates_evaluated > stats.candidates_seen
+
+
+class TestRetention:
+    """What a frontier search keeps alive once ``select`` returns."""
+
+    def test_probes_release_their_per_job_arrays(
+        self, xeon, dns_ideal, monkeypatch
+    ):
+        probes: list = []
+        arrays: list[weakref.ref] = []
+        probe_init = search_module._Probe.__init__
+        batch_arrays = kernel_module._GapBatch.arrays
+
+        def recording_init(self, solution, qos):
+            probe_init(self, solution, qos)
+            probes.append(self)  # kept alive: a probe holding arrays shows
+
+        def recording_arrays(self):
+            if self._arrays is None:
+                # A new assembly: every earlier probe has let go of its
+                # arrays, so at most one probe's arrays are ever alive.
+                assert all(ref() is None for ref in arrays)
+            assembled = batch_arrays(self)
+            arrays.extend(weakref.ref(array) for array in assembled)
+            return assembled
+
+        monkeypatch.setattr(search_module._Probe, "__init__", recording_init)
+        monkeypatch.setattr(kernel_module._GapBatch, "arrays", recording_arrays)
+        engine = PolicySearchEngine(
+            xeon, full_space(xeon, frequency_step=0.05),
+            mean_qos_from_baseline(0.8), search=SEARCH_FRONTIER,
+        )
+        for seed, utilization in enumerate((0.3, 0.35)):
+            engine.select(_jobs(dns_ideal, utilization, seed), utilization)
+        assert engine.stats.frontier_selections == 2
+        assert any(probe.slack_computed for probe in probes)
+        assert arrays and all(ref() is None for ref in arrays)
+
+    def test_engine_keeps_only_the_last_grid(self, xeon, dns_ideal):
+        space = full_space(xeon, frequency_step=0.05)
+        engine = PolicySearchEngine(
+            xeon, space, mean_qos_from_baseline(0.8), search=SEARCH_FRONTIER
+        )
+        utilizations = (0.1, 0.5, 0.8, 0.5)
+        for seed, utilization in enumerate(utilizations):
+            engine.select(_jobs(dns_ideal, utilization, seed), utilization)
+            assert len(engine._grids) <= 1
+        axes = {space.candidate_frequencies(u).tobytes() for u in utilizations}
+        assert len(axes) > 1
+
+    @pytest.mark.parametrize("qos_kind", ["mean", "p95"])
+    def test_winner_row_matches_a_fresh_evaluation(self, xeon, dns_ideal, qos_kind):
+        qos = (
+            mean_qos_from_baseline(0.8)
+            if qos_kind == "mean"
+            else percentile_qos_from_baseline(0.8, dns_ideal.mean_service_time)
+        )
+        engine = PolicySearchEngine(
+            xeon, full_space(xeon, frequency_step=0.05), qos,
+            search=SEARCH_FRONTIER,
+        )
+        jobs = _jobs(dns_ideal, 0.4, 3)
+        best = engine.select(jobs, 0.4).best
+        assert engine.stats.frontier_selections == 1
+        fresh = evaluation_from_result(
+            best.policy,
+            TraceKernel(jobs, xeon).evaluate(
+                best.policy.frequency, best.policy.sleep
+            ),
+            qos,
+        )
+        assert (
+            best.average_power,
+            best.mean_response_time,
+            best.p95_response_time,
+            best.qos_slack,
+        ) == (
+            fresh.average_power,
+            fresh.mean_response_time,
+            fresh.p95_response_time,
+            fresh.qos_slack,
+        )
+        assert best == fresh
 
 
 class TestCharacterizationCache:
