@@ -58,7 +58,6 @@ from repro.concurrency import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     fan_out,
     resolve_executor,
 )
@@ -199,7 +198,6 @@ __all__ = [
     "SleepSequence",
     "SleepStateSpec",
     "SystemState",
-    "ThreadExecutor",
     "UtilizationPredictor",
     "UtilizationTrace",
     "WorkloadSpec",

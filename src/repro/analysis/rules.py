@@ -198,7 +198,7 @@ _BOUNDARY_CALLEES = frozenset(
 )
 
 _EXECUTOR_FACTORIES = frozenset(
-    {"ProcessExecutor", "ThreadExecutor", "SerialExecutor", "resolve_executor"}
+    {"ProcessExecutor", "SerialExecutor", "resolve_executor"}
 )
 
 _EXECUTORISH_NAME = re.compile(r"executor|pool", re.IGNORECASE)

@@ -24,10 +24,10 @@ Two runtimes share this machinery:
 Execution model: the dispatcher assigns every job to a server *first* (from
 arrival times and nominal service demands only — the front end cannot see
 DVFS or sleep decisions), then each server's epoch loop runs independently
-over its sub-stream, optionally fanned out over a thread pool
-(``max_workers``) or sharded across worker processes
-(``executor="process"``, via picklable :class:`ServerShardTask`s); all
-execution paths produce bit-identical :class:`FarmResult`s.
+over its sub-stream, either in the caller's process or sharded across
+worker processes (``executor="process"``, or ``max_workers > 1``, via
+picklable :class:`ServerShardTask`s); both execution paths produce
+bit-identical :class:`FarmResult`s.
 The work-tracking dispatchers receive each server's *dispatch speed* —
 derived from its :class:`ServerSpec` service scaling and frequency ceiling —
 so heterogeneous farms route on estimated finish times rather than raw
@@ -51,7 +51,6 @@ budget, which collapses to the shared budget in the homogeneous case.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -72,12 +71,7 @@ from repro.cluster.tenancy import (
     TenantOutcome,
     tenant_outcomes,
 )
-from repro.concurrency import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
+from repro.concurrency import Executor, SerialExecutor, resolve_executor
 from repro.core.epoch import RuntimeResult
 from repro.core.runtime import RuntimeConfig, RuntimeSession, SleepScaleRuntime
 from repro.core.qos import QosConstraint
@@ -94,7 +88,6 @@ from repro.workloads.spec import WorkloadSpec
 from repro.workloads.storage import (
     TRACE_BACKEND_MEMORY,
     TRACE_BACKEND_MMAP,
-    ArenaReader,
     ArrayDescriptor,
     SharedTraceArena,
     is_mmap_backed,
@@ -175,7 +168,7 @@ class ServerShardTask:
 class SharedServerShardTask:
     """Zero-copy process shard: descriptors instead of the sub-stream.
 
-    The shared-memory counterpart of :class:`ServerShardTask` (the farm
+    The memory-mapped counterpart of :class:`ServerShardTask` (the farm
     picks between them by ``trace_backend``): the parent gathers the trace
     into stable server-grouped order and publishes the grouped
     arrival/demand arrays into a
@@ -249,40 +242,15 @@ def run_server_shard(task: ServerShardTask) -> RuntimeResult:
 
 
 def run_shared_server_shard(task: SharedServerShardTask) -> RuntimeResult:
-    """Zero-copy process-pool work fn: resolve descriptors, then run.
+    """Zero-copy process-pool work fn: copy the ranges out, then run.
 
     ``load`` copies this server's contiguous grouped range into private
     worker memory (exactly the arrays the memory path would have pickled
-    over), so the reader detaches before the epoch loop runs — no shared
-    buffer outlives the ``with`` block, and the parent's unlink can never
-    invalidate arrays mid-simulation.
+    over), so the parent deleting the arena files can never invalidate
+    arrays mid-simulation.
     """
-    with ArenaReader() as reader:
-        arrivals = reader.load(task.arrivals)
-        demands = reader.load(task.demands)
-    jobs = JobTrace.from_validated_arrays(arrivals, demands)
+    jobs = JobTrace.from_validated_arrays(task.arrivals.load(), task.demands.load())
     return _run_shard(task.server, task.spec, jobs, task.use_cache)
-
-
-def _run_runtime_on_stream(
-    pair: "tuple[SleepScaleRuntime, JobTrace]",
-) -> RuntimeResult:
-    """Thread/serial fan-out work fn: run one prebuilt runtime on its stream."""
-    runtime, stream = pair
-    return runtime.run(stream)
-
-
-def _feed_session(
-    item: "tuple[RuntimeSession, np.ndarray, np.ndarray]",
-) -> None:
-    """Chunked-run fan-out work fn: feed one chunk into one session."""
-    session, chunk_arrivals, chunk_demands = item
-    session.feed(chunk_arrivals, chunk_demands)
-
-
-def _finish_session(session: RuntimeSession) -> RuntimeResult:
-    """Chunked-run fan-out work fn: close one streaming session."""
-    return session.finish()
 
 
 def prorated_idle_energy(
@@ -600,7 +568,7 @@ class ServerSpec:
         Zero-argument callables producing this server's strategy and
         predictor.  Called once per :meth:`ServerFarm.run`; each call must
         return a *fresh* object so per-server state (policy-manager RNGs, LMS
-        weights) is never shared across servers or threads.
+        weights) is never shared across servers.
     config:
         This server's runtime configuration (epoch length, ``rho_b``,
         over-provisioning guard band).
@@ -669,34 +637,33 @@ class ServerFarm:
         Work-tracking dispatchers receive :attr:`dispatch_speeds` so their
         backlog estimates are speed-aware on heterogeneous farms.
     max_workers:
-        Pool size for the per-server epoch loops (thread pool by default
+        Pool size for the per-server epoch loops (a process pool by default
         when > 1; see ``executor``).  Results are identical to the serial
         run because no state is shared between servers.
     executor:
-        How the per-server epoch loops execute: ``None`` keeps the
-        historical behaviour (thread pool iff ``max_workers > 1``),
-        ``"serial"``/``"thread"``/``"process"`` select explicitly, and any
-        :class:`~repro.concurrency.Executor` instance is used as-is.  The
-        process executor shards the farm across worker processes via
-        picklable :class:`ServerShardTask`s — every ``ServerSpec`` factory
-        must then be picklable — and produces bit-identical results to the
-        serial and thread paths (pinned by
+        How the per-server epoch loops execute: ``None`` picks a process
+        pool iff ``max_workers > 1``, ``"serial"``/``"process"`` select
+        explicitly, and any :class:`~repro.concurrency.Executor` instance is
+        used as-is.  Serial runs the loops in the caller's process; any
+        other executor shards the farm across workers via picklable
+        :class:`ServerShardTask`s — every ``ServerSpec`` factory must then
+        be picklable — with bit-identical results (pinned by
         ``tests/cluster/test_executor_parity.py``).
     chunk_jobs:
         When set, :meth:`run` streams the trace through the farm in
         arrival-ordered chunks of this many jobs (see :meth:`run`).
     trace_backend:
-        Where the trace's arrays live while the farm runs (``"memory"``,
-        ``"shm"``, ``"mmap"`` — see :mod:`repro.workloads.storage`).  With
-        ``"shm"`` or ``"mmap"``, the process executor switches to zero-copy
-        sharding: the trace (and the server-grouped job order) is published
-        into a :class:`~repro.workloads.storage.SharedTraceArena` once and
-        shard tasks carry constant-size descriptors instead of pickled
-        sub-streams.  ``"mmap"`` additionally spills an in-memory trace to
-        a temporary ``.npy`` file and memory-maps it, so the farm's working
+        Where the trace's arrays live while the farm runs (``"memory"`` or
+        ``"mmap"`` — see :mod:`repro.workloads.storage`).  With ``"mmap"``,
+        the process executor switches to zero-copy sharding: the
+        server-grouped trace is published into a
+        :class:`~repro.workloads.storage.SharedTraceArena` once and shard
+        tasks carry constant-size descriptors instead of pickled
+        sub-streams.  ``"mmap"`` also spills an in-memory trace to a
+        temporary ``.npy`` file and memory-maps it, so the farm's working
         arrays live on disk (traces loaded via
         :meth:`JobTrace.from_file(mmap=True) <repro.workloads.jobs.JobTrace.from_file>`
-        are used as-is).  The backend is result-invisible: all backends
+        are used as-is).  The backend is result-invisible: both backends
         produce bit-identical :class:`FarmResult`\\ s.
     search_cache:
         Optional :class:`~repro.core.search.CharacterizationCache` shared
@@ -705,7 +672,8 @@ class ServerFarm:
         sound — cache keys carry the full trace/space/power-model/QoS
         identity — and pays off for servers with identical spec, QoS and
         candidate space, whose repeated characterisations collapse to one.
-        The cache is thread-safe, so it composes with ``max_workers``.
+        The cache lives in the caller's process, so only serial runs share
+        it; each process-pool worker keeps its own bounded cache instead.
     controller:
         Optional :class:`~repro.cluster.controller.FarmController` for
         farm-level dynamic right-sizing: before dispatch, the controller
@@ -760,11 +728,7 @@ class ServerFarm:
                 "qos must be a FarmQos, a QosConstraint (wrapped into "
                 f"FarmQos.strictest) or None, got {type(self.qos).__name__}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be at least 1, got {self.max_workers}"
-            )
-        # Resolving validates the name/worker combination up front, so a
+        # Resolving validates the name and worker count up front, so a
         # typo'd executor fails at construction, not mid-run.
         resolve_executor(self.executor, self.max_workers)
         validate_trace_backend(self.trace_backend)
@@ -817,21 +781,6 @@ class ServerFarm:
             jobs=stream,
             use_cache=self.search_cache is not None,
         )
-
-    def _validate_fresh_instances(
-        self, runtimes: Sequence[SleepScaleRuntime]
-    ) -> None:
-        """Threaded runs require per-server strategy/predictor objects."""
-        for label, instances in (
-            ("strategy", [runtime._strategy for runtime in runtimes]),
-            ("predictor", [runtime._predictor for runtime in runtimes]),
-        ):
-            if len({id(instance) for instance in instances}) != len(instances):
-                raise ConfigurationError(
-                    f"the {label} factory must return a fresh object per "
-                    "server when max_workers > 1; a shared instance "
-                    "would race across server threads"
-                )
 
     def _idle_energies(
         self,
@@ -1018,7 +967,7 @@ class ServerFarm:
             # anyway, so controlled runs always take the one-shot path.
             return self._run_controlled(jobs)
         if chunk_jobs is not None and chunk_jobs < len(jobs):
-            if isinstance(self._resolve_executor(), ProcessExecutor):
+            if not isinstance(self._resolve_executor(), SerialExecutor):
                 # Process sharding ships each server's whole sub-stream
                 # across the process boundary once; feeding chunk by chunk
                 # would serialise every chunk separately for no memory win
@@ -1104,8 +1053,9 @@ class ServerFarm:
         uncontrolled paths share every executor/backend combination: only
         *how the assignment is computed* differs between them.
         """
-        if self.trace_backend != TRACE_BACKEND_MEMORY and isinstance(
-            self._resolve_executor(), ProcessExecutor
+        executor = self._resolve_executor()
+        if self.trace_backend == TRACE_BACKEND_MMAP and not isinstance(
+            executor, SerialExecutor
         ):
             return self._process_zero_copy_results(jobs, assignment)
         # A boolean mask preserves order, so the masked views of a
@@ -1130,27 +1080,16 @@ class ServerFarm:
         ]
         if not active:
             raise ConfigurationError("no server received any job")
-        executor = self._resolve_executor()
-        if isinstance(executor, ProcessExecutor):
+        if isinstance(executor, SerialExecutor):
+            results = [
+                self._build_runtime(index).run(stream) for index, stream in active
+            ]
+        else:
             # Worker processes rebuild each server's runtime from its
             # picklable spec, so nothing mutable crosses the boundary.
             results = executor.map(
                 run_server_shard,
                 [self._shard_task(index, stream) for index, stream in active],
-            )
-        else:
-            # Build the runtimes up front (in the caller's thread) so the
-            # threaded path can check the factories actually hand out
-            # per-server state instead of silently racing on a shared object.
-            runtimes = [self._build_runtime(index) for index, _ in active]
-            if not isinstance(executor, SerialExecutor):
-                self._validate_fresh_instances(runtimes)
-            results = executor.map(
-                _run_runtime_on_stream,
-                [
-                    (runtime, stream)
-                    for runtime, (_, stream) in zip(runtimes, active, strict=True)
-                ],
             )
         for (index, _), result in zip(active, results, strict=True):
             per_server[index] = result
@@ -1159,7 +1098,7 @@ class ServerFarm:
     def _process_zero_copy_results(
         self, jobs: JobTrace, assignment: np.ndarray
     ) -> list[RuntimeResult | None]:
-        """One-shot process sharding through a shared-trace arena.
+        """One-shot process sharding through a memory-mapped trace arena.
 
         Instead of materialising per-server :class:`JobTrace` copies and
         pickling each into its shard (O(trace) serialised bytes per farm),
@@ -1180,21 +1119,10 @@ class ServerFarm:
             raise ConfigurationError("no server received any job")
         order = np.argsort(assignment, kind="stable")
         offsets = np.concatenate(([0], np.cumsum(counts)))
-        executor = self._resolve_executor()
         use_cache = self.search_cache is not None
-        with contextlib.ExitStack() as stack:
-            directory = (
-                stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro_arena_")
-                )
-                if self.trace_backend == TRACE_BACKEND_MMAP
-                else None
-            )
-            # The with-block guarantees segment unlink on *every* exit —
-            # including a worker crash surfacing as an executor exception.
-            arena = stack.enter_context(
-                SharedTraceArena(self.trace_backend, directory=directory)
-            )
+        # The with-block deletes the arena files on *every* exit — including
+        # a worker crash surfacing as an executor exception.
+        with SharedTraceArena() as arena:
             arrivals_desc = arena.publish(jobs.arrival_times[order], "arrivals")
             demands_desc = arena.publish(
                 jobs.service_demands[order], "demands"
@@ -1213,7 +1141,7 @@ class ServerFarm:
                 )
                 for index in active
             ]
-            results = executor.map(run_shared_server_shard, tasks)
+            results = self._resolve_executor().map(run_shared_server_shard, tasks)
         per_server: list[RuntimeResult | None] = [None] * self.num_servers
         for index, result in zip(active, results, strict=True):
             per_server[index] = result
@@ -1236,14 +1164,10 @@ class ServerFarm:
             isinstance(self.qos, FarmQos) and self.qos.is_per_tenant
         )
         assignment_chunks: list[np.ndarray] = []
-        # One runtime + streaming session per server, created up front so
-        # the freshness validation happens before any thread runs.  (The
-        # process executor never reaches this path — ``run`` routes it to
-        # the one-shot sharding path.)
-        executor = self._resolve_executor()
+        # One runtime + streaming session per server.  Only serial runs
+        # reach this path — ``run`` routes pooled executors to the one-shot
+        # sharding path.
         runtimes = [self._build_runtime(index) for index in range(self.num_servers)]
-        if not isinstance(executor, SerialExecutor):
-            self._validate_fresh_instances(runtimes)
         sessions: list[RuntimeSession] = [runtime.stream() for runtime in runtimes]
         fed_jobs = [0] * self.num_servers
 
@@ -1270,24 +1194,16 @@ class ServerFarm:
                 assignment_chunks.append(
                     np.asarray(assignment, dtype=np.int64).copy()
                 )
-            targets = np.unique(assignment)
-            work: list[tuple[RuntimeSession, np.ndarray, np.ndarray]] = []
-            for server in targets.tolist():
+            for server in np.unique(assignment).tolist():
                 mask = assignment == server
-                work.append(
-                    (sessions[server], chunk_arrivals[mask], chunk_demands[mask])
-                )
+                sessions[server].feed(chunk_arrivals[mask], chunk_demands[mask])
                 fed_jobs[server] += int(np.count_nonzero(mask))
-            executor.map(_feed_session, work)
         if not any(fed_jobs):
             raise ConfigurationError("no server received any job")
-        per_server: list[RuntimeResult | None] = [None] * self.num_servers
-        active = [index for index, count in enumerate(fed_jobs) if count > 0]
-        results = executor.map(
-            _finish_session, [sessions[index] for index in active]
-        )
-        for index, result in zip(active, results, strict=True):
-            per_server[index] = result
+        per_server: list[RuntimeResult | None] = [
+            session.finish() if count > 0 else None
+            for session, count in zip(sessions, fed_jobs, strict=True)
+        ]
         # Parked servers' runtimes were built but never fed — reuse them for
         # the idle accounting instead of invoking the factories again.
         full_assignment = (
@@ -1319,10 +1235,9 @@ class ClusterRuntime:
     dispatcher:
         How arriving jobs are split across servers (round-robin by default).
     max_workers:
-        When > 1, run the per-server epoch loops on a pool of this size.
-        The factories must return a *fresh* strategy/predictor per server
-        index (validated at run time for the threaded path) so no mutable
-        state is shared across threads; the result is then identical to the
+        When > 1, run the per-server epoch loops on a process pool of this
+        size (the per-index factories must then be picklable).  No mutable
+        state is shared across servers, so the result is identical to the
         serial run regardless of scheduling, and the farm-level
         policy-search overhead scales with ``num_servers / max_workers``
         instead of ``num_servers``.
@@ -1379,10 +1294,6 @@ class ClusterRuntime:
         if self.num_servers < 1:
             raise ConfigurationError(
                 f"a farm needs at least one server, got {self.num_servers}"
-            )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be at least 1, got {self.max_workers}"
             )
         resolve_executor(self.executor, self.max_workers)
         validate_trace_backend(self.trace_backend)

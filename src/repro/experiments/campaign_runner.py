@@ -85,7 +85,10 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for the cell fan-out pool",
+        help=(
+            "worker count for the cell fan-out pool (without --executor, "
+            "N > 1 selects the process pool)"
+        ),
     )
     parser.add_argument(
         "--max-cells",

@@ -3,7 +3,7 @@
 ``python -m repro.experiments <name> [<name> ...] [--full] [--seed N]`` runs
 one or more experiments and prints their result tables; ``--list`` shows
 every registered experiment, ``--parallel N`` fans independent experiments
-out over a pool of N workers (``--executor`` picks serial, thread or process
+out over a pool of N worker processes (``--executor`` picks serial or process
 execution; each experiment owns its seeds, so results are identical
 whichever executor runs them), and ``--output FILE`` also writes the results
 as a schema-versioned JSON report (:mod:`repro.experiments.report`).  The
@@ -168,8 +168,7 @@ def run_experiments(
 
     Each experiment derives its random streams from the config's base seed
     independently of the others, so the fan-out (``max_workers > 1`` for the
-    default thread pool, or any ``executor=`` selection including
-    ``"process"``) produces the same results as running them one after
+    default process pool, or any ``executor=`` selection) produces the same results as running them one after
     another.  Unknown names raise before anything is started.
     """
     for name in names:
@@ -252,16 +251,16 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="run multiple experiments on a pool of N workers",
+        help="run multiple experiments on a pool of N worker processes",
     )
     parser.add_argument(
         "--executor",
         choices=list(EXECUTORS),
         default=None,
         help=(
-            "pool type for --parallel: 'thread' (default when N > 1), "
-            "'process' for multi-core runs, 'serial' to force in-line "
-            "execution; results are identical across executors"
+            "pool type for --parallel: 'process' (default when N > 1) or "
+            "'serial' to force in-line execution; results are identical "
+            "across executors"
         ),
     )
     parser.add_argument(

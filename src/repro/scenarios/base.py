@@ -176,9 +176,8 @@ class Scenario:
         policies are identical.  No characterisation cache is attached
         (``ServerFarm(search_cache=...)`` opts in).
         ``executor`` selects how the built farm fans its per-server epoch
-        loops out (``"serial"``/``"thread"``/``"process"``) and
-        ``trace_backend`` where the trace's arrays live while it runs
-        (``"memory"``/``"shm"``/``"mmap"``; see
+        loops out (``"serial"``/``"process"``) and ``trace_backend`` where
+        the trace's arrays live while it runs (``"memory"``/``"mmap"``; see
         :mod:`repro.workloads.storage`); neither changes results — the
         parity suites pin this — so builders never see them; both are
         applied to the built farm directly.  ``controller`` attaches a

@@ -24,14 +24,14 @@ from tests.cluster.test_executor_parity import (
     assert_farm_results_identical,
 )
 
-#: The full grid the contract quantifies over.  Serial and thread runs take
-#: the boolean-mask dispatch path whatever the backend (shm/mmap storage
-#: only changes where the arrays live); process runs with shm/mmap exercise
-#: the zero-copy shard path under the controller as well.
+#: The full grid the contract quantifies over.  Serial runs take the
+#: boolean-mask dispatch path whatever the backend (mmap storage only
+#: changes where the arrays live); process runs with mmap exercise the
+#: zero-copy shard path under the controller as well.
 GRID = tuple(
     (executor, backend)
-    for executor in ("serial", "thread", "process")
-    for backend in ("memory", "shm", "mmap")
+    for executor in ("serial", "process")
+    for backend in ("memory", "mmap")
 )
 
 
@@ -54,7 +54,7 @@ def _plain_oracle(name: str, overrides: dict):
 
 
 class TestAlwaysOnParityEverywhere:
-    """All registered scenarios × {serial,thread,process} × {memory,shm,mmap}."""
+    """All registered scenarios × {serial,process} × {memory,mmap}."""
 
     @pytest.fixture(params=sorted(available_scenarios()))
     def name(self, request):
@@ -88,7 +88,7 @@ class TestPredictivePolicyParity:
     Unlike ``always-on``, a predictive controller actually re-sizes the
     fleet, so there is no uncontrolled oracle to compare against; the
     contract is instead that the serial/memory run *is* the oracle and the
-    thread and process fast paths reproduce it bit-identically.
+    process fast path reproduces it bit-identically.
     """
 
     def _run(self, executor: str):
@@ -105,8 +105,7 @@ class TestPredictivePolicyParity:
     def test_predictive_matches_serial_oracle_on_every_executor(self):
         oracle = self._run("serial")
         assert oracle.awake_counts is not None
-        for executor in ("thread", "process"):
-            assert_farm_results_identical(oracle, self._run(executor))
+        assert_farm_results_identical(oracle, self._run("process"))
 
     def test_predictive_repeat_run_is_bit_identical(self):
         assert_farm_results_identical(self._run("serial"), self._run("serial"))

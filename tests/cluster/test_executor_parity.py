@@ -1,4 +1,4 @@
-"""Serial / thread / process executors must be result-invisible.
+"""Serial / process executors must be result-invisible.
 
 The executor contract for farms (the PR 5 analogue of the backend, dispatch
 -engine and search-engine oracle contracts): whichever executor runs the
@@ -33,7 +33,8 @@ from repro.workloads.generator import generate_jobs
 from repro.workloads.spec import dns_workload
 
 #: (executor, max_workers) pairs compared against the serial oracle.
-POOLED = (("thread", 2), ("process", 2))
+#: ``(None, 2)`` is the bare pool-size knob, which must pick the process pool.
+POOLED = (("process", 2), (None, 2))
 
 
 def _floats_identical(left: float, right: float) -> bool:
@@ -107,7 +108,7 @@ class TestEveryScenarioParity:
     def name(self, request):
         return request.param
 
-    def test_thread_and_process_match_serial(self, name):
+    def test_process_matches_serial(self, name):
         overrides = _tiny_overrides(name)
         serial = get_scenario(name).build(
             seed=9, executor="serial", **overrides
@@ -236,6 +237,12 @@ class TestOtherFanOutSites:
         for label in serial:
             assert serial[label].points == sharded[label].points
 
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ExecutorError, match="max_workers"):
+            sweep_states(dns_workload(), [C1_S0I], xeon_power_model(), 0.3, max_workers=0)
+        with pytest.raises(ExecutorError, match="max_workers"):
+            run_experiments(["table2"], max_workers=0)
+
     def test_run_experiments_process_matches_serial(self):
         serial = run_experiments(["table2"])
         sharded = run_experiments(["table2"], executor="process", max_workers=2)
@@ -252,6 +259,15 @@ class TestScenarioBuildExecutor:
     def test_build_rejects_unknown_executor(self):
         with pytest.raises(ExecutorError, match="unknown executor"):
             get_scenario("diurnal").build(executor="gpu")
+
+    def test_run_scenario_bare_workers_match_serial(self):
+        """``max_workers=2`` without an executor runs the process pool."""
+        from repro.experiments.scenario_runner import run_scenario
+
+        overrides = _tiny_overrides("mega-farm")
+        serial = run_scenario("mega-farm", executor="serial", overrides=overrides)
+        pooled = run_scenario("mega-farm", max_workers=2, overrides=overrides)
+        assert pooled == serial
 
     def test_run_scenario_rejects_executor_override(self):
         from repro.exceptions import ExperimentError

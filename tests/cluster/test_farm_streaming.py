@@ -2,13 +2,15 @@
 
 Pins the streaming contract — ``ServerFarm.run(..., chunk_jobs=...)``
 produces results identical to the one-shot path for every dispatcher,
-serial or threaded, including parked-server idle accounting — plus the
-accounting bug batch: cached ``FarmResult.response_times``, explicit
-``meets_budget`` with zero completed jobs, and the guarded parked-server
-idle proration.
+serial or pooled (a pool runs one-shot), including parked-server idle
+accounting — plus the accounting bug batch: cached
+``FarmResult.response_times``, explicit ``meets_budget`` with zero
+completed jobs, and the guarded parked-server idle proration.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
@@ -44,8 +46,8 @@ def fixed_policy_server(name, power_model, max_frequency=1.0, scaling=None):
     return ServerSpec(
         name=name,
         power_model=power_model,
-        strategy_factory=lambda: FixedPolicyStrategy(policy),
-        predictor_factory=lambda: NaivePreviousPredictor(),
+        strategy_factory=functools.partial(FixedPolicyStrategy, policy),
+        predictor_factory=NaivePreviousPredictor,
         config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
         scaling=scaling,
         max_frequency=max_frequency,
@@ -155,28 +157,6 @@ class TestChunkedFarmRuns:
         np.testing.assert_allclose(
             chunked.response_times, one_shot.response_times, rtol=1e-9
         )
-
-    def test_shared_instance_rejected_when_threaded_and_chunked(
-        self, dns_empirical, busy_workload
-    ):
-        xeon = xeon_power_model()
-        shared = FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I))
-        farm = ServerFarm(
-            servers=tuple(
-                ServerSpec(
-                    name=f"server-{index}",
-                    power_model=xeon,
-                    strategy_factory=lambda: shared,
-                    predictor_factory=lambda: NaivePreviousPredictor(),
-                )
-                for index in range(2)
-            ),
-            spec=dns_empirical,
-            max_workers=2,
-            chunk_jobs=100,
-        )
-        with pytest.raises(ConfigurationError, match="fresh object"):
-            farm.run(busy_workload)
 
     def test_chunk_jobs_validation(self, dns_empirical, mixed_servers, busy_workload):
         with pytest.raises(ConfigurationError, match="chunk_jobs"):

@@ -13,6 +13,8 @@ The invariants pinned here are the ones the scenario reports rely on:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,8 @@ def fixed_policy_server(name, power_model, rho_b=0.8):
     return ServerSpec(
         name=name,
         power_model=power_model,
-        strategy_factory=lambda: FixedPolicyStrategy(policy),
-        predictor_factory=lambda: NaivePreviousPredictor(),
+        strategy_factory=functools.partial(FixedPolicyStrategy, policy),
+        predictor_factory=NaivePreviousPredictor,
         config=RuntimeConfig(epoch_minutes=5.0, rho_b=rho_b, over_provisioning=0.0),
     )
 
@@ -211,7 +213,7 @@ class TestServerFarm:
             np.sort(from_cluster.response_times), np.sort(from_farm.response_times)
         )
 
-    def test_threaded_matches_serial(self, dns_empirical, busy_workload):
+    def test_pooled_matches_serial(self, dns_empirical, busy_workload):
         def build(max_workers=None):
             return ServerFarm(
                 servers=(
@@ -223,10 +225,10 @@ class TestServerFarm:
             )
 
         serial = build().run(busy_workload)
-        threaded = build(max_workers=2).run(busy_workload)
-        assert threaded.total_energy == pytest.approx(serial.total_energy)
+        pooled = build(max_workers=2).run(busy_workload)
+        assert pooled.total_energy == pytest.approx(serial.total_energy)
         np.testing.assert_array_equal(
-            threaded.response_times, serial.response_times
+            pooled.response_times, serial.response_times
         )
 
     def test_power_aware_heterogeneous_farm_saves_energy_at_light_load(
@@ -311,24 +313,3 @@ class TestServerFarm:
                 strategy_factory=lambda: None,
                 predictor_factory=lambda: None,
             )
-
-    def test_shared_instance_rejected_when_threaded(
-        self, dns_empirical, busy_workload
-    ):
-        xeon = xeon_power_model()
-        shared = FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I))
-        farm = ServerFarm(
-            servers=tuple(
-                ServerSpec(
-                    name=f"server-{index}",
-                    power_model=xeon,
-                    strategy_factory=lambda: shared,
-                    predictor_factory=lambda: NaivePreviousPredictor(),
-                )
-                for index in range(2)
-            ),
-            spec=dns_empirical,
-            max_workers=2,
-        )
-        with pytest.raises(ConfigurationError, match="fresh object"):
-            farm.run(busy_workload)

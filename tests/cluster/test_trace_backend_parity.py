@@ -1,19 +1,20 @@
 """Trace storage backends must be result-invisible (and leak-free).
 
-The PR 6 analogue of the executor contract: wherever the trace's arrays
-live — in-process memory, shared-memory segments, or a memory-mapped file —
-a farm produces **bit-identical** ``FarmResult``s.  This suite pins that
-across every registered scenario (serial/memory oracle vs zero-copy process
-sharding over shm and mmap, and the serial mmap-spill path), proves shared
-segments are released on every exit path (normal, pickling failure, worker
-crash), and runs a memory-mapped trace larger than a configured memory cap
-through a chunked farm in bounded memory.
+The analogue of the executor contract: wherever the trace's arrays live —
+in-process memory or a memory-mapped file — a farm produces
+**bit-identical** ``FarmResult``s.  This suite pins that across every
+registered scenario (serial/memory oracle vs zero-copy process sharding over
+mmap, and the serial mmap-spill path), proves the temporary trace and arena
+directories are deleted on every exit path (normal, pickling failure,
+worker crash), and runs a memory-mapped trace larger than a configured
+memory cap through a chunked farm in bounded memory.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.power.platform import xeon_power_model
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.scenarios import available_scenarios, get_scenario
 from repro.workloads.jobs import JobTrace
-from repro.workloads.storage import SHM_PREFIX, TraceBuffer
+from repro.workloads.storage import TraceBuffer
 
 from tests.cluster.test_executor_parity import (
     _tiny_overrides,
@@ -36,23 +37,28 @@ from tests.cluster.test_executor_parity import (
 )
 
 
-def shm_segments() -> set[str]:
-    return set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
+def trace_directories() -> set[str]:
+    """The farm's spill and arena directories under the temp root."""
+    root = tempfile.gettempdir()
+    return {
+        path
+        for prefix in ("repro_arena_", "repro_trace_")
+        for path in glob.glob(os.path.join(root, f"{prefix}*"))
+    }
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    before = shm_segments()
+def no_leaked_directories():
+    before = trace_directories()
     yield
-    leaked = shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    leaked = trace_directories() - before
+    assert not leaked, f"leaked trace directories: {sorted(leaked)}"
 
 
 #: (executor, trace_backend) pairs compared against the serial/memory oracle.
-#: The process runs exercise the zero-copy descriptor sharding; the serial
+#: The process run exercises the zero-copy descriptor sharding; the serial
 #: mmap run exercises the spill-to-file path without an arena.
 BACKEND_MATRIX = (
-    ("process", "shm"),
     ("process", "mmap"),
     ("serial", "mmap"),
 )
@@ -94,11 +100,11 @@ def _fresh_predictor():
 def _crashing_strategy():
     # Hard worker death (no exception, no cleanup handlers in the worker):
     # the pool reports a BrokenProcessPool and the parent's arena context
-    # must still unlink every segment.
+    # must still delete every file.
     os._exit(17)
 
 
-def _small_farm(strategy_factory, *, trace_backend: str = "shm") -> ServerFarm:
+def _small_farm(strategy_factory, *, trace_backend: str = "mmap") -> ServerFarm:
     from repro.workloads.spec import dns_workload
 
     servers = tuple(
@@ -128,31 +134,31 @@ def _small_jobs() -> JobTrace:
     return generate_jobs(dns_workload(), num_jobs=400, utilization=0.4, seed=3)
 
 
-class TestSegmentCleanup:
-    def test_no_segments_survive_a_normal_run(self):
-        before = shm_segments()
+class TestArenaCleanup:
+    def test_no_directories_survive_a_normal_run(self):
+        before = trace_directories()
         result = _small_farm(_fresh_strategy).run(_small_jobs())
         assert result.num_jobs == 400
-        assert shm_segments() == before
+        assert trace_directories() == before
 
-    def test_no_segments_survive_an_executor_error(self):
+    def test_no_directories_survive_an_executor_error(self):
         # A lambda factory cannot be pickled into the shard task: the
         # executor raises ExecutorError after the arena published the trace,
-        # and the arena's __exit__ must still unlink everything.
-        before = shm_segments()
+        # and the arena's __exit__ must still delete everything.
+        before = trace_directories()
         farm = _small_farm(lambda: _fresh_strategy())
         with pytest.raises(ExecutorError, match="pickl"):
             farm.run(_small_jobs())
-        assert shm_segments() == before
+        assert trace_directories() == before
 
-    def test_no_segments_survive_a_worker_crash(self):
+    def test_no_directories_survive_a_worker_crash(self):
         from concurrent.futures.process import BrokenProcessPool
 
-        before = shm_segments()
+        before = trace_directories()
         farm = _small_farm(_crashing_strategy)
         with pytest.raises(BrokenProcessPool):
             farm.run(_small_jobs())
-        assert shm_segments() == before
+        assert trace_directories() == before
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,16 @@ class TestClusterRuntime:
         assert farm.num_jobs == 2
 
 
+def _fixed_strategy(policy, index):
+    return FixedPolicyStrategy(policy)
+
+
+def _naive_predictor(index):
+    return NaivePreviousPredictor()
+
+
 class TestParallelFarm:
-    """Threaded per-server fan-out must reproduce the serial farm exactly."""
+    """Pooled per-server fan-out must reproduce the serial farm exactly."""
 
     def make_cluster(self, xeon, spec, num_servers, max_workers=None):
         policy = race_to_halt_policy(xeon, C6_S0I)
@@ -195,23 +205,23 @@ class TestParallelFarm:
             num_servers=num_servers,
             power_model=xeon,
             spec=spec,
-            strategy_factory=lambda index: FixedPolicyStrategy(policy),
-            predictor_factory=lambda index: NaivePreviousPredictor(),
+            strategy_factory=functools.partial(_fixed_strategy, policy),
+            predictor_factory=_naive_predictor,
             config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
             max_workers=max_workers,
         )
 
     def test_parallel_matches_serial(self, xeon, dns_empirical, farm_workload):
         serial = self.make_cluster(xeon, dns_empirical, 4).run(farm_workload.jobs)
-        threaded = self.make_cluster(
+        pooled = self.make_cluster(
             xeon, dns_empirical, 4, max_workers=4
         ).run(farm_workload.jobs)
-        assert threaded.num_jobs == serial.num_jobs
-        assert threaded.total_energy == pytest.approx(serial.total_energy)
-        assert threaded.mean_response_time == pytest.approx(
+        assert pooled.num_jobs == serial.num_jobs
+        assert pooled.total_energy == pytest.approx(serial.total_energy)
+        assert pooled.mean_response_time == pytest.approx(
             serial.mean_response_time
         )
-        for fast, slow in zip(threaded.per_server, serial.per_server):
+        for fast, slow in zip(pooled.per_server, serial.per_server):
             assert (fast is None) == (slow is None)
             if fast is not None:
                 np.testing.assert_array_equal(
@@ -221,19 +231,3 @@ class TestParallelFarm:
     def test_invalid_worker_count_rejected(self, xeon, dns_empirical):
         with pytest.raises(ConfigurationError):
             self.make_cluster(xeon, dns_empirical, 2, max_workers=0)
-
-    def test_shared_factory_rejected_when_threaded(
-        self, xeon, dns_empirical, farm_workload
-    ):
-        shared = FixedPolicyStrategy(race_to_halt_policy(xeon, C6_S0I))
-        cluster = ClusterRuntime(
-            num_servers=3,
-            power_model=xeon,
-            spec=dns_empirical,
-            strategy_factory=lambda index: shared,  # one instance for all servers
-            predictor_factory=lambda index: NaivePreviousPredictor(),
-            config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0),
-            max_workers=3,
-        )
-        with pytest.raises(ConfigurationError):
-            cluster.run(farm_workload.jobs)

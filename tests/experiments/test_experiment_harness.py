@@ -183,9 +183,9 @@ class TestRunExperiments:
 
         config = ExperimentConfig(fast=True, seed=1)
         serial = run_experiments(["table2", "table5"], config)
-        threaded = run_experiments(["table2", "table5"], config, max_workers=2)
+        pooled = run_experiments(["table2", "table5"], config, max_workers=2)
         for name in serial:
-            assert serial[name].rows == threaded[name].rows
+            assert serial[name].rows == pooled[name].rows
 
     def test_unknown_name_rejected_before_running(self):
         import pytest as _pytest

@@ -1,10 +1,10 @@
 """The executor subsystem behind ``fan_out``.
 
 Pins the executor contract of :mod:`repro.concurrency`: results in item
-order on every executor, serial fallback exactly where the historical
-``fan_out`` ran serially, first-in-item-order exception propagation, and —
-for the process executor — *clear* errors (not hangs) when work cannot
-cross a process boundary.
+order on every executor, serial execution unless a pool of more than one
+worker is asked for, rejection of worker counts below one,
+first-in-item-order exception propagation, and — for the process executor
+— *clear* errors (not hangs) when work cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.concurrency import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     fan_out,
     resolve_executor,
     validate_executor,
@@ -54,25 +53,32 @@ def record_thread(value):
 
 
 class TestFanOutContract:
-    """The historical fan_out behaviour, unchanged by the refactor."""
+    """The fan_out behaviour every call site relies on."""
 
     def test_results_in_item_order_serial(self):
         assert fan_out([3, 1, 2], square, None) == [9, 1, 4]
 
-    def test_results_in_item_order_threaded(self):
+    def test_results_in_item_order_pooled(self):
         items = list(range(5))
         assert fan_out(items, square_after_reverse_delay, 4) == [
             value * value for value in items
         ]
 
-    @pytest.mark.parametrize("max_workers", [None, 0, 1])
+    @pytest.mark.parametrize("max_workers", [None, 1])
     def test_serial_fallback_runs_in_callers_thread(self, max_workers):
-        """``max_workers <= 1`` (including the historical 0) stays serial."""
+        """``max_workers`` of ``None`` or ``1`` stays serial."""
         idents = fan_out([1, 2, 3], record_thread, max_workers)
         assert set(idents) == {threading.get_ident()}
 
-    def test_single_item_skips_the_pool(self):
-        assert fan_out([7], record_thread, 8) == [threading.get_ident()]
+    @pytest.mark.parametrize("executor", [None, "serial", "process"])
+    def test_zero_workers_rejected(self, executor):
+        """A pool of zero workers is an error, whatever the executor."""
+        with pytest.raises(ExecutorError, match="max_workers"):
+            fan_out([1, 2, 3], record_thread, 0, executor=executor)
+
+    def test_pooled_fan_out_runs_in_worker_processes(self):
+        pids = fan_out([1, 2], worker_pid, 2)
+        assert all(pid != os.getpid() for pid in pids)
 
     @pytest.mark.parametrize("max_workers", [None, 4])
     def test_first_exception_in_item_order(self, max_workers):
@@ -88,9 +94,8 @@ class TestFanOutContract:
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("executor", [SerialExecutor(), ThreadExecutor(2)])
-    def test_map_in_order(self, executor):
-        assert executor.map(square, [3, 1, 2]) == [9, 1, 4]
+    def test_map_in_order(self):
+        assert SerialExecutor().map(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_process_map_in_order(self):
         executor = ProcessExecutor(max_workers=2)
@@ -109,21 +114,19 @@ class TestExecutors:
 
     @pytest.mark.parametrize(
         "executor",
-        [SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)],
+        [SerialExecutor(), ProcessExecutor(2)],
     )
     def test_empty_items_every_executor(self, executor):
         assert executor.map(square, []) == []
 
     def test_executor_names_match_registry(self):
-        assert EXECUTORS == ("serial", "thread", "process")
+        assert EXECUTORS == ("serial", "process")
         assert SerialExecutor().name == "serial"
-        assert ThreadExecutor().name == "thread"
         assert ProcessExecutor().name == "process"
 
-    @pytest.mark.parametrize("cls", [ThreadExecutor, ProcessExecutor])
-    def test_invalid_worker_count_rejected(self, cls):
+    def test_invalid_worker_count_rejected(self):
         with pytest.raises(ExecutorError):
-            cls(max_workers=0)
+            ProcessExecutor(max_workers=0)
 
 
 class TestProcessPicklability:
@@ -151,32 +154,35 @@ class TestProcessPicklability:
 
 
 class TestResolveExecutor:
-    def test_none_keeps_historical_thread_rule(self):
+    def test_none_picks_a_process_pool_above_one_worker(self):
         assert isinstance(resolve_executor(None, None), SerialExecutor)
-        assert isinstance(resolve_executor(None, 0), SerialExecutor)
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
-        assert isinstance(resolve_executor(None, 2), ThreadExecutor)
+        pooled = resolve_executor(None, 2)
+        assert isinstance(pooled, ProcessExecutor)
+        assert pooled.max_workers == 2
 
     def test_names_resolve(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
-        assert isinstance(resolve_executor("thread", 3), ThreadExecutor)
         assert isinstance(resolve_executor("process", 3), ProcessExecutor)
 
-    def test_worker_count_threads_through(self):
-        assert resolve_executor("thread", 3).max_workers == 3
+    def test_worker_count_passes_through(self):
         assert resolve_executor("process", 5).max_workers == 5
 
     def test_instance_passes_through(self):
-        executor = ThreadExecutor(2)
+        executor = ProcessExecutor(2)
         assert resolve_executor(executor, 99) is executor
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ExecutorError, match="unknown executor"):
             resolve_executor("gpu")
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ExecutorError):
-            resolve_executor("thread", 0)
+    @pytest.mark.parametrize(
+        "executor", [None, "serial", "process", SerialExecutor()]
+    )
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_invalid_workers_rejected(self, executor, max_workers):
+        with pytest.raises(ExecutorError, match="max_workers"):
+            resolve_executor(executor, max_workers)
 
     def test_validate_executor(self):
         validate_executor(None)

@@ -1,11 +1,10 @@
-"""Trace storage backends: descriptors, arenas, readers, file round trips.
+"""Trace storage backends: descriptors, the file arena, file round trips.
 
 The contracts pinned here:
 
-* whatever the backend, the arrays a reader reconstructs are byte-identical
-  to the published ones (the substrate of the farm-level parity suite);
-* shared segments never leak — normal exit, exceptions, refused teardown
-  under live views, idempotent close;
+* the arrays a descriptor loads are byte-identical to the published ones
+  (the substrate of the farm-level parity suite);
+* arena files never leak — normal exit, exceptions, idempotent close;
 * the ``.npy`` trace file round trip is exact (unlike the CSV interchange
   format, which rounds), and validation of memory-mapped files runs in
   bounded chunks with the same error surface as the trusting-nothing
@@ -15,6 +14,9 @@ The contracts pinned here:
 from __future__ import annotations
 
 import glob
+import os
+import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,9 +26,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError, TraceError
 from repro.workloads.jobs import JobTrace
 from repro.workloads.storage import (
-    SHM_PREFIX,
     TRACE_BACKENDS,
-    ArenaReader,
     ArrayDescriptor,
     SharedTraceArena,
     TraceBuffer,
@@ -36,18 +36,18 @@ from repro.workloads.storage import (
 )
 
 
-def shm_segments() -> set[str]:
-    """The arena-owned segments currently present under ``/dev/shm``."""
-    return set(glob.glob(f"/dev/shm/{SHM_PREFIX}*"))
+def arena_directories() -> set[str]:
+    """The arena-owned directories currently present under the temp root."""
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro_arena_*")))
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_segments():
-    """Every test must leave /dev/shm exactly as it found it."""
-    before = shm_segments()
+def no_leaked_directories():
+    """Every test must leave the temp root exactly as it found it."""
+    before = arena_directories()
     yield
-    leaked = shm_segments() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+    leaked = arena_directories() - before
+    assert not leaked, f"leaked arena directories: {sorted(leaked)}"
 
 
 def make_trace(n: int = 64, seed: int = 0) -> JobTrace:
@@ -67,7 +67,7 @@ arrival_lists = st.lists(
 
 class TestBackendNames:
     def test_registry(self):
-        assert TRACE_BACKENDS == ("memory", "shm", "mmap")
+        assert TRACE_BACKENDS == ("memory", "mmap")
         for backend in TRACE_BACKENDS:
             assert validate_trace_backend(backend) == backend
 
@@ -78,31 +78,29 @@ class TestBackendNames:
 
 class TestArrayDescriptor:
     def test_narrow_sub_range(self):
-        descriptor = ArrayDescriptor("shm", "seg", "<f8", 0, 100)
+        descriptor = ArrayDescriptor("seg.npy", 0, 100)
         narrowed = descriptor.narrow(10, 25)
         assert narrowed.offset == 10
         assert narrowed.length == 25
-        assert narrowed.location == "seg"
+        assert narrowed.location == "seg.npy"
         # Narrowing composes: offsets accumulate.
         assert narrowed.narrow(5, 5).offset == 15
 
     def test_narrow_out_of_range(self):
-        descriptor = ArrayDescriptor("shm", "seg", "<f8", 0, 10)
+        descriptor = ArrayDescriptor("seg.npy", 0, 10)
         with pytest.raises(ConfigurationError, match="narrow"):
             descriptor.narrow(5, 6)
         with pytest.raises(ConfigurationError, match="narrow"):
             descriptor.narrow(-1, 2)
 
-    def test_invalid_kind_and_ranges(self):
-        with pytest.raises(ConfigurationError, match="kind"):
-            ArrayDescriptor("memory", "x", "<f8", 0, 1)
+    def test_invalid_ranges(self):
         with pytest.raises(ConfigurationError, match="non-negative"):
-            ArrayDescriptor("shm", "x", "<f8", -1, 1)
+            ArrayDescriptor("x.npy", -1, 1)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            ArrayDescriptor("x.npy", 0, -1)
 
     def test_picklable_and_tiny(self):
-        import pickle
-
-        descriptor = ArrayDescriptor("shm", "seg", "<f8", 0, 10**9)
+        descriptor = ArrayDescriptor("seg.npy", 0, 10**9)
         blob = pickle.dumps(descriptor)
         assert pickle.loads(blob) == descriptor
         # The whole point: constant-size regardless of the array it names.
@@ -144,136 +142,77 @@ class TestChunkedValidation:
 
 
 class TestSharedTraceArena:
-    def test_publish_view_roundtrip(self):
+    def test_publish_load_roundtrip(self):
         trace = make_trace(200)
-        with SharedTraceArena("shm") as arena:
-            arrivals_desc, demands_desc = arena.publish_trace(trace)
-            assert np.array_equal(arena.view(arrivals_desc), trace.arrival_times)
-            assert np.array_equal(arena.view(demands_desc), trace.service_demands)
-            assert not arena.view(arrivals_desc).flags.writeable
-            arena.release_view()
-            arena.release_view()
-            arena.release_view()
+        with SharedTraceArena() as arena:
+            arrivals = arena.publish(trace.arrival_times, "arrivals")
+            demands = arena.publish(trace.service_demands, "demands")
+            assert np.array_equal(arrivals.load(), trace.arrival_times)
+            assert np.array_equal(demands.load(), trace.service_demands)
 
-    def test_narrowed_views_are_the_slices(self):
+    def test_narrowed_loads_are_the_slices(self):
         data = np.arange(100, dtype=np.int64)
-        with SharedTraceArena("shm") as arena:
+        with SharedTraceArena() as arena:
             descriptor = arena.publish(data, "indices")
-            view = arena.view(descriptor.narrow(40, 10))
-            assert np.array_equal(view, np.arange(40, 50))
-            del view
-            arena.release_view()
+            loaded = descriptor.narrow(40, 10).load()
+        assert np.array_equal(loaded, np.arange(40, 50))
+        assert loaded.dtype == np.int64
 
-    def test_segments_unlinked_on_normal_exit(self):
-        before = shm_segments()
-        with SharedTraceArena("shm") as arena:
-            arena.publish(np.arange(10.0), "a")
-            assert shm_segments() - before
-        assert shm_segments() == before
+    def test_loads_are_private_copies(self):
+        with SharedTraceArena() as arena:
+            descriptor = arena.publish(np.arange(8.0), "a")
+            loaded = descriptor.load()
+            loaded[0] = 99.0
+            assert descriptor.load()[0] == 0.0
+        # The copy outlives the arena's files.
+        assert loaded[1] == 1.0
 
-    def test_segments_unlinked_on_exception(self):
-        before = shm_segments()
+    def test_descriptors_survive_pickling(self):
+        with SharedTraceArena() as arena:
+            descriptor = arena.publish(np.arange(16.0), "a").narrow(4, 4)
+            clone = pickle.loads(pickle.dumps(descriptor))
+            assert np.array_equal(clone.load(), np.arange(4.0, 8.0))
+
+    def test_files_deleted_on_normal_exit(self):
+        before = arena_directories()
+        with SharedTraceArena() as arena:
+            descriptor = arena.publish(np.arange(10.0), "a")
+            assert os.path.exists(descriptor.location)
+            assert arena_directories() - before
+        assert not os.path.exists(descriptor.location)
+        assert arena_directories() == before
+
+    def test_files_deleted_on_exception(self):
+        before = arena_directories()
         with pytest.raises(RuntimeError, match="boom"):
-            with SharedTraceArena("shm") as arena:
+            with SharedTraceArena() as arena:
                 arena.publish(np.arange(10.0), "a")
                 raise RuntimeError("boom")
-        assert shm_segments() == before
+        assert arena_directories() == before
 
     def test_close_is_idempotent(self):
-        arena = SharedTraceArena("shm")
+        arena = SharedTraceArena()
         arena.publish(np.arange(4.0), "a")
         arena.close()
         arena.close()
         assert arena.closed
 
-    def test_close_refuses_under_live_views_unless_forced(self):
-        arena = SharedTraceArena("shm")
-        descriptor = arena.publish(np.arange(4.0), "a")
-        view = arena.view(descriptor)
-        with pytest.raises(ConfigurationError, match="open view"):
-            arena.close()
-        del view
-        arena.close(force=True)
-
-    def test_release_without_view_rejected(self):
-        with SharedTraceArena("shm") as arena:
-            with pytest.raises(ConfigurationError, match="release_view"):
-                arena.release_view()
-
     def test_publish_after_close_rejected(self):
-        arena = SharedTraceArena("shm")
+        arena = SharedTraceArena()
         arena.close()
         with pytest.raises(ConfigurationError, match="closed"):
             arena.publish(np.arange(3.0), "late")
 
-    def test_view_of_foreign_descriptor_rejected(self):
-        foreign = ArrayDescriptor("shm", "reproshm_not_ours", "<f8", 0, 4)
-        with SharedTraceArena("shm") as arena:
-            with pytest.raises(ConfigurationError, match="not published"):
-                arena.view(foreign)
+    def test_only_1d_arrays_published(self):
+        with SharedTraceArena() as arena:
+            with pytest.raises(ConfigurationError, match="1-D"):
+                arena.publish(np.zeros((2, 2)), "matrix")
 
     def test_empty_array_roundtrip(self):
-        with SharedTraceArena("shm") as arena:
+        with SharedTraceArena() as arena:
             descriptor = arena.publish(np.empty(0), "empty")
             assert descriptor.length == 0
-            assert arena.view(descriptor).size == 0
-            arena.release_view()
-
-    def test_mmap_backend_needs_directory(self):
-        with pytest.raises(ConfigurationError, match="directory"):
-            SharedTraceArena("mmap")
-
-    def test_memory_is_not_an_arena_backend(self):
-        with pytest.raises(ConfigurationError, match="'shm' or 'mmap'"):
-            SharedTraceArena("memory")
-
-    def test_mmap_arena_files_deleted_on_close(self, tmp_path):
-        with SharedTraceArena("mmap", directory=tmp_path) as arena:
-            descriptor = arena.publish(np.arange(32.0), "a")
-            assert list(tmp_path.iterdir())
-            view = arena.view(descriptor.narrow(8, 4))
-            assert np.array_equal(view, np.arange(8.0, 12.0))
-            del view
-            arena.release_view()
-        assert not list(tmp_path.iterdir())
-
-
-class TestArenaReader:
-    def test_reader_resolves_shm_descriptors(self):
-        trace = make_trace(64)
-        with SharedTraceArena("shm") as arena:
-            arrivals_desc, demands_desc = arena.publish_trace(trace)
-            with ArenaReader() as reader:
-                arrivals = np.array(reader.view(arrivals_desc))
-                demands = reader.load(demands_desc)
-            assert np.array_equal(arrivals, trace.arrival_times)
-            assert np.array_equal(demands, trace.service_demands)
-
-    def test_reader_views_are_read_only(self):
-        with SharedTraceArena("shm") as arena:
-            descriptor = arena.publish(np.arange(8.0), "a")
-            with ArenaReader() as reader:
-                view = reader.view(descriptor)
-                with pytest.raises(ValueError, match="read-only"):
-                    view[0] = 1.0
-                del view
-
-    def test_reader_never_unlinks(self):
-        with SharedTraceArena("shm") as arena:
-            descriptor = arena.publish(np.arange(8.0), "a")
-            with ArenaReader() as reader:
-                reader.load(descriptor)
-            # The segment must survive the reader: ownership is the arena's.
-            with ArenaReader() as again:
-                assert again.load(descriptor).size == 8
-
-    def test_reader_resolves_mmap_descriptors(self, tmp_path):
-        with SharedTraceArena("mmap", directory=tmp_path) as arena:
-            descriptor = arena.publish(np.arange(16.0), "a")
-            with ArenaReader() as reader:
-                assert np.array_equal(
-                    reader.load(descriptor.narrow(4, 4)), np.arange(4.0, 8.0)
-                )
+            assert descriptor.load().size == 0
 
 
 class TestTraceBufferFile:
@@ -336,22 +275,16 @@ class TestTraceBufferBackends:
         demands = [0.001] * len(arrivals)
         trace = JobTrace(arrivals, demands)
         memory = TraceBuffer.in_memory(trace.arrival_times, trace.service_demands)
-        with SharedTraceArena("shm") as shm_arena:
-            shm = TraceBuffer.shared(trace, shm_arena)
-            directory = tmp_path_factory.mktemp("arena")
-            with SharedTraceArena("mmap", directory=directory) as mmap_arena:
-                mmap = TraceBuffer.shared(trace, mmap_arena)
-                for buffer in (memory, shm, mmap):
-                    assert np.array_equal(buffer.arrivals, trace.arrival_times)
-                    assert np.array_equal(buffer.demands, trace.service_demands)
-                    assert len(buffer) == len(trace)
-                    assert buffer.as_trace() == trace
-                del mmap
-                mmap_arena.release_view()
-                mmap_arena.release_view()
-            del shm
-            shm_arena.release_view()
-            shm_arena.release_view()
+        path = tmp_path_factory.mktemp("buffers") / "trace.npy"
+        TraceBuffer.write_file(path, trace.arrival_times, trace.service_demands)
+        mmap = TraceBuffer.from_file(path)
+        assert (memory.backend, mmap.backend) == TRACE_BACKENDS
+        for buffer in (memory, mmap):
+            assert np.array_equal(buffer.arrivals, trace.arrival_times)
+            assert np.array_equal(buffer.demands, trace.service_demands)
+            assert not buffer.arrivals.flags.writeable
+            assert len(buffer) == len(trace)
+            assert buffer.as_trace() == trace
 
     def test_iter_chunks_covers_the_trace_in_order(self):
         trace = make_trace(100)
