@@ -94,8 +94,9 @@ class TestFanOutContract:
 
 
 class TestExecutors:
-    def test_map_in_order(self):
-        assert SerialExecutor().map(square, [3, 1, 2]) == [9, 1, 4]
+    @pytest.mark.parametrize("executor", [SerialExecutor(), ProcessExecutor(2)])
+    def test_map_in_order(self, executor):
+        assert executor.map(square, [3, 1, 2]) == [9, 1, 4]
 
     def test_process_map_in_order(self):
         executor = ProcessExecutor(max_workers=2)
@@ -124,9 +125,10 @@ class TestExecutors:
         assert SerialExecutor().name == "serial"
         assert ProcessExecutor().name == "process"
 
-    def test_invalid_worker_count_rejected(self):
+    @pytest.mark.parametrize("cls", [ProcessExecutor])
+    def test_invalid_worker_count_rejected(self, cls):
         with pytest.raises(ExecutorError):
-            ProcessExecutor(max_workers=0)
+            cls(max_workers=0)
 
 
 class TestProcessPicklability:

@@ -190,6 +190,22 @@ class TestSharedTraceArena:
                 raise RuntimeError("boom")
         assert arena_directories() == before
 
+    def test_mmap_arena_files_deleted_on_close(self):
+        arena = SharedTraceArena()
+        descriptor = arena.publish(np.arange(32.0), "a")
+        assert np.array_equal(descriptor.narrow(8, 4).load(), np.arange(8.0, 12.0))
+        arena.close()
+        assert not os.path.exists(descriptor.location)
+        assert not os.path.exists(os.path.dirname(descriptor.location))
+
+    def test_loads_never_unlink(self):
+        """Loading copies out of the file; only the arena deletes it."""
+        with SharedTraceArena() as arena:
+            descriptor = arena.publish(np.arange(8.0), "a")
+            descriptor.load()
+            assert os.path.exists(descriptor.location)
+            assert descriptor.load().size == 8
+
     def test_close_is_idempotent(self):
         arena = SharedTraceArena()
         arena.publish(np.arange(4.0), "a")
