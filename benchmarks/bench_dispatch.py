@@ -6,7 +6,11 @@ Measures the dispatch-engine contract end to end:
   engine vs. the retained per-job ``"loop"`` oracle, asserting
   **byte-identical assignments** and reporting the speedups across traffic
   regimes (the farm-scale regime — heavy aggregate traffic spread over 16
-  servers — is the headline);
+  servers — is the headline), including the one- and two-server saturated
+  regimes a right-sizing controller leaves at peak;
+* ``PriorityDispatcher`` on a two-tenant burst vs. the plain transcription
+  of its rule in ``tests/cluster/priority_reference.py``, asserting
+  byte-identical assignments;
 * a chunked (streaming) ``ServerFarm.run`` vs. the one-shot path on a
   reduced trace, asserting equivalence within ``rtol <= 1e-9``.
 
@@ -27,6 +31,7 @@ import json
 import sys
 import time
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +42,8 @@ from repro.cluster.dispatch import (
     PowerAwareDispatcher,
 )
 from repro.cluster.farm import ServerFarm, ServerSpec
+from repro.cluster.tenancy import PriorityDispatcher, TenantSpec
+from repro.core.qos import mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import FixedPolicyStrategy
 from repro.policies.policy import race_to_halt_policy
@@ -45,6 +52,10 @@ from repro.power.states import C6_S0I
 from repro.prediction.naive import NaivePreviousPredictor
 from repro.workloads.jobs import JobTrace
 from repro.workloads.spec import google_workload
+
+# The priority dispatcher's oracle lives with its test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.cluster.priority_reference import reference_priority_assignment  # noqa: E402
 
 MEAN_SERVICE = 0.0042  # Google-like (Table 5) job size, seconds
 NUM_XEON = 8
@@ -59,80 +70,120 @@ def synthetic_jobs(num_jobs: int, utilization: float, seed: int) -> JobTrace:
     return JobTrace(np.cumsum(gaps), rng.exponential(MEAN_SERVICE, num_jobs))
 
 
-def time_assign(dispatcher, jobs, num_servers, server_speeds):
+def time_call(function, jobs, num_servers, server_speeds):
     start = time.perf_counter()
-    assignment = dispatcher.assign(jobs, num_servers, server_speeds=server_speeds)
+    assignment = function(jobs, num_servers, server_speeds)
     return time.perf_counter() - start, assignment
 
 
+def labelled_jobs(num_jobs: int, utilization: float, seed: int) -> JobTrace:
+    """:func:`synthetic_jobs` with a 3:1 crowd:victim tenant split."""
+    jobs = synthetic_jobs(num_jobs, utilization, seed)
+    labels = (np.random.default_rng(seed + 1).random(num_jobs) < 0.25).astype(np.int64)
+    return jobs.with_tenant_ids(labels)
+
+
+#: The two tenants of the noisy-neighbor scenario: a low-priority crowd and
+#: a protected high-priority victim.
+PRIORITY_TENANTS = (
+    TenantSpec(name="crowd", qos=mean_qos_from_baseline(0.8)),
+    TenantSpec(name="victim", qos=mean_qos_from_baseline(0.8), priority=1),
+)
+
+
+def reference_priority(jobs, num_servers, server_speeds):
+    """The priority rule's plain transcription (the suite's oracle)."""
+    return reference_priority_assignment(
+        jobs.arrival_times,
+        jobs.service_demands,
+        jobs.tenant_ids,
+        PRIORITY_TENANTS,
+        num_servers,
+        server_speeds,
+    )
+
+
 def bench_dispatchers(num_jobs: int, seed: int) -> dict:
-    """Heap vs. loop on every (dispatcher, regime, speed model) case."""
+    """Fast path vs. oracle on every (dispatcher, regime, farm) case.
+
+    Each case names a ``(fast, oracle)`` pair of assignment functions; the
+    least-loaded and power-aware oracles are the ``"loop"`` engines, the
+    priority dispatcher's is the reference transcription its test suite
+    pins it to.
+    """
     num_servers = NUM_XEON + NUM_ATOM
     het_speeds = [1.0] * NUM_XEON + [ATOM_CEILING] * NUM_ATOM
     idle_powers = [xeon_power_model().idle_power(1.0)] * NUM_XEON + [
         atom_power_model().idle_power(1.0)
     ] * NUM_ATOM
+
+    def engines(factory):
+        return tuple(
+            lambda jobs, servers, speeds, engine=engine: factory(engine).assign(
+                jobs, servers, server_speeds=speeds
+            )
+            for engine in (ENGINE_HEAP, ENGINE_LOOP)
+        )
+
+    least_loaded = engines(LeastLoadedDispatcher)
+    power_aware = engines(
+        lambda engine: PowerAwareDispatcher(idle_powers, engine=engine)
+    )
+    priority = (
+        lambda jobs, servers, speeds: PriorityDispatcher(PRIORITY_TENANTS).assign(
+            jobs, servers, server_speeds=speeds
+        ),
+        reference_priority,
+    )
+    # name: (engines, utilization, servers, speeds, trace builder)
     cases = {
         # The farm-scale regime: aggregate traffic of ~0.9 of one server
         # spread over 16 servers (per-server load ~6%), homogeneous speeds.
-        "least_loaded_farm_scale": (
-            lambda engine: LeastLoadedDispatcher(engine),
-            0.9,
-            None,
-        ),
+        "least_loaded_farm_scale": (least_loaded, 0.9, num_servers, None, synthetic_jobs),
         # Same regime, the mixed Xeon/Atom speed model (merge fast path is
         # homogeneous-only, so this shows the heap-tier floor).
         "least_loaded_heterogeneous": (
-            lambda engine: LeastLoadedDispatcher(engine),
-            0.9,
-            het_speeds,
+            least_loaded, 0.9, num_servers, het_speeds, synthetic_jobs,
         ),
         # Aggregate load near half the farm's capacity.
-        "least_loaded_heavy": (
-            lambda engine: LeastLoadedDispatcher(engine),
-            8.0,
-            None,
-        ),
-        "power_aware_farm_scale": (
-            lambda engine: PowerAwareDispatcher(idle_powers, engine=engine),
-            0.9,
-            het_speeds,
-        ),
+        "least_loaded_heavy": (least_loaded, 8.0, num_servers, None, synthetic_jobs),
+        # The regimes a right-sizing controller leaves at peak (the
+        # autoscale-day workload): one or two awake servers running hot.
+        "least_loaded_two_server_saturated": (least_loaded, 2.5, 2, None, synthetic_jobs),
+        "least_loaded_one_server": (least_loaded, 0.9, 1, None, synthetic_jobs),
+        "power_aware_farm_scale": (power_aware, 0.9, num_servers, het_speeds, synthetic_jobs),
         "power_aware_light_packing": (
-            lambda engine: PowerAwareDispatcher(idle_powers, engine=engine),
-            0.1,
-            het_speeds,
+            power_aware, 0.1, num_servers, het_speeds, synthetic_jobs,
         ),
+        # The tenant-burst workload's shape: two tenants on four servers
+        # under a load that saturates the crowd's block.
+        "priority_two_tenant_burst": (priority, 3.0, 4, None, labelled_jobs),
     }
     results = {}
-    for name, (factory, utilization, speeds) in cases.items():
-        jobs = synthetic_jobs(num_jobs, utilization, seed)
-        heap_seconds, heap_assignment = time_assign(
-            factory(ENGINE_HEAP), jobs, num_servers, speeds
-        )
-        loop_seconds, loop_assignment = time_assign(
-            factory(ENGINE_LOOP), jobs, num_servers, speeds
-        )
-        identical = bool(np.array_equal(heap_assignment, loop_assignment))
+    for name, ((fast, oracle), utilization, servers, speeds, build) in cases.items():
+        jobs = build(num_jobs, utilization, seed)
+        fast_seconds, fast_assignment = time_call(fast, jobs, servers, speeds)
+        oracle_seconds, oracle_assignment = time_call(oracle, jobs, servers, speeds)
+        identical = bool(np.array_equal(fast_assignment, oracle_assignment))
         if not identical:
             raise SystemExit(
-                f"FATAL: {name}: heap and loop assignments differ "
+                f"FATAL: {name}: fast-path and oracle assignments differ "
                 "(the dispatch-engine contract is broken)"
             )
         results[name] = {
             "jobs": num_jobs,
-            "servers": num_servers,
+            "servers": servers,
             "offered_load_of_one_server": utilization,
             "speed_model": "heterogeneous" if speeds else "homogeneous",
-            "heap_ms": round(heap_seconds * 1e3, 1),
-            "loop_ms": round(loop_seconds * 1e3, 1),
-            "speedup": round(loop_seconds / heap_seconds, 1),
+            "heap_ms": round(fast_seconds * 1e3, 1),
+            "loop_ms": round(oracle_seconds * 1e3, 1),
+            "speedup": round(oracle_seconds / fast_seconds, 1),
             "byte_identical": identical,
         }
         print(
-            f"{name:32s} heap {heap_seconds*1e3:8.1f} ms   "
-            f"loop {loop_seconds*1e3:8.1f} ms   "
-            f"speedup {loop_seconds/heap_seconds:5.1f}x   identical={identical}"
+            f"{name:34s} fast {fast_seconds*1e3:8.1f} ms   "
+            f"oracle {oracle_seconds*1e3:8.1f} ms   "
+            f"speedup {oracle_seconds/fast_seconds:5.1f}x   identical={identical}"
         )
     return results
 

@@ -51,8 +51,13 @@ Mirroring the simulation-backend contract, every work-tracking dispatcher has
 two interchangeable engines:
 
 * ``"heap"`` (default) — O(n log m) for ``n`` jobs on ``m`` servers, built on
-  the shared heap-backed :class:`WorkTracker` core with NumPy batch pre/post
-  processing;
+  :class:`WorkTracker`'s finish-time arithmetic with NumPy batch pre/post
+  processing.  Least-loaded dispatch has three tiers: a one-server farm
+  assigns every job to server 0 outright; a vectorised merge block commits
+  runs of jobs that find an idle server; and per-job heap steps cover the
+  rest in bursts that double (up to ``_MAX_FALLBACK_RUN`` jobs) while block
+  attempts keep failing, so a few servers running hot do not pay one block
+  attempt per handful of jobs;
 * ``"loop"`` — the original per-job Python scan, kept as the reference
   oracle.
 
@@ -130,8 +135,11 @@ class WorkTracker:
     The tracker stores, for every server, the time it would finish all work
     routed to it so far, serving at its assumed speed.  ``charge`` routes one
     job and returns the server's new estimated finish time; the arithmetic
-    (``max(busy, arrival) + demand * time_factor``) is written once here so
-    the heap and loop engines cannot drift apart numerically.
+    (``max(busy, arrival) + demand * time_factor``) is the reference the
+    engines are held to.  The per-job hot loops (least-loaded heap bursts,
+    the priority dispatcher) inline it as ``(arrival if arrival > busy else
+    busy) + demand * time_factor``, which is what ``max`` computes for every
+    pair of floats, NaN and signed zeros included.
     """
 
     __slots__ = ("busy_until", "time_factors")
@@ -445,12 +453,17 @@ _MAX_BLOCK = 131072
 #: a hostile regime cannot trigger an O(block) attempt for every job.
 _FALLBACK_RUN = 64
 _SMALL_COMMIT = 32
+#: Cap of the least-loaded heap engine's burst backoff: consecutive failed
+#: block attempts double the burst up to this many per-job steps.
+_MAX_FALLBACK_RUN = 8192
 
 
 class _LeastLoadedHeapAssigner(StreamAssigner):
     """Join-the-least-work via a (finish time, server) min-heap.
 
-    Two execution tiers share the heap state:
+    A one-server farm skips both tiers: every job can only go to server 0,
+    and no state of a one-server stream can change a later assignment.
+    Otherwise two execution tiers share the heap state:
 
     * a **vectorised merge block** (equal server speeds only): while every
       popped finish time lies at or before the popping job's arrival — i.e.
@@ -465,7 +478,11 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
       tie-breaking never deviates from the heap order.
     * a **per-job heap step** (O(log m)) for everything the block
       certificate cannot validate: heterogeneous speeds, globally saturated
-      stretches, exact value ties.
+      stretches, exact value ties.  Steps run in bursts on plain Python
+      floats.  Each burst after a failed block attempt is twice as long as
+      the last, up to ``_MAX_FALLBACK_RUN``, so a saturated regime does not
+      pay one block attempt per ``_FALLBACK_RUN`` jobs; the burst length
+      resets as soon as a block commits.
 
     Every comparison in both tiers is performed on exactly the float values
     the per-job loop computes, so the assignment is byte-identical to
@@ -474,15 +491,16 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
 
     def __init__(self, num_servers: int, server_speeds: Sequence[float] | None):
         super().__init__(num_servers)
-        self._tracker = WorkTracker(num_servers, server_speeds)
-        factors = self._tracker.time_factors
+        factors = self._factors = _demand_time_factors(num_servers, server_speeds)
         self._uniform_factor = (
             factors[0] if all(f == factors[0] for f in factors) else None
         )
         # (busy_until, server): ties break towards the lowest server index,
-        # exactly like the loop engine's list.index(min(...)).
+        # exactly like the loop engine's list.index(min(...)).  The heap is
+        # the whole tracked state: each entry holds its server's finish time.
         self._heap = [(0.0, server) for server in range(num_servers)]
         self._block = _MIN_BLOCK
+        self._burst = _FALLBACK_RUN
 
     def _try_merge_block(
         self,
@@ -552,16 +570,13 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         # Rebuild the heap from the m surviving entries (everything inserted
         # so far minus the committed pops).
         survivors = order[committed : committed + num_servers]
-        busy_until = self._tracker.busy_until
         heap: list[tuple[float, int]] = []
         for source in survivors.tolist():
             if source < num_servers:
                 server = heap_servers[source]
             else:
                 server = int(committed_servers[source - num_servers])
-            value = float(merged[source])
-            busy_until[server] = value
-            heap.append((value, server))
+            heap.append((float(merged[source]), server))
         heapq.heapify(heap)
         self._heap = heap
         return committed
@@ -570,28 +585,37 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         arrivals = np.ascontiguousarray(arrival_times, dtype=float)
         demands = np.ascontiguousarray(service_demands, dtype=float)
         count = len(arrivals)
+        if self.num_servers == 1:
+            return np.zeros(count, dtype=np.int64)
         assignment = np.empty(count, dtype=np.int64)
-        charge = self._tracker.charge
+        factors = self._factors
+        heapreplace = heapq.heapreplace
         index = 0
         while index < count:
             committed = self._try_merge_block(arrivals, demands, assignment, index)
             index += committed
             if index >= count:
                 break
-            # Fallback burst: per-job heap steps (O(log m) each).
-            stop = min(
-                count, index + (_FALLBACK_RUN if committed < _SMALL_COMMIT else 1)
-            )
+            if committed < _SMALL_COMMIT:
+                span = self._burst
+                self._burst = min(2 * span, _MAX_FALLBACK_RUN)
+            else:
+                span = 1
+                self._burst = _FALLBACK_RUN
+            # Fallback burst: per-job heap steps (O(log m) each), with
+            # WorkTracker.charge's arithmetic and max() spelled out.
+            stop = min(count, index + span)
             heap = self._heap
-            arrival_list = arrivals[index:stop].tolist()
-            demand_list = demands[index:stop].tolist()
-            for arrival, demand in zip(arrival_list, demand_list, strict=True):
-                server = heap[0][1]
-                assignment[index] = server
-                heapq.heapreplace(
-                    heap, (charge(server, arrival, demand), server)
-                )
-                index += 1
+            servers = []
+            for arrival, demand in zip(
+                arrivals[index:stop].tolist(), demands[index:stop].tolist()
+            ):
+                busy, server = heap[0]
+                finish = (arrival if arrival > busy else busy) + demand * factors[server]
+                heapreplace(heap, (finish, server))
+                servers.append(server)
+            assignment[index:stop] = servers
+            index = stop
         return assignment
 
 

@@ -60,6 +60,7 @@ from collections.abc import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.cluster.controller import (
+    AlwaysOnPolicy,
     ControllerSchedule,
     FarmController,
     controller_assignment,
@@ -67,8 +68,11 @@ from repro.cluster.controller import (
 from repro.cluster.dispatch import JobDispatcher, RoundRobinDispatcher
 from repro.cluster.tenancy import (
     FarmQos,
+    PriorityDispatcher,
     TenancyAccounting,
     TenantOutcome,
+    WeightedFairDispatcher,
+    check_tenant_label_range,
     tenant_outcomes,
 )
 from repro.concurrency import Executor, SerialExecutor, resolve_executor
@@ -728,6 +732,7 @@ class ServerFarm:
                 "qos must be a FarmQos, a QosConstraint (wrapped into "
                 f"FarmQos.strictest) or None, got {type(self.qos).__name__}"
             )
+        self._check_controller_hosts_tenants()
         # Resolving validates the name and worker count up front, so a
         # typo'd executor fails at construction, not mid-run.
         resolve_executor(self.executor, self.max_workers)
@@ -740,6 +745,29 @@ class ServerFarm:
         if len(set(names)) != len(names):
             raise ConfigurationError(
                 f"server names must be unique, got {names}"
+            )
+
+    def _check_controller_hosts_tenants(self) -> None:
+        """Reject a parking controller that may leave a tenant no server.
+
+        Tenant-aware dispatchers give every tenant at least one serviceable
+        server, so a controller that parks down to ``min_awake`` below the
+        tenant count would fail deep inside dispatch after planning.
+        ``always-on`` never parks and is always accepted.
+        """
+        controller = self.controller
+        if controller is None or isinstance(controller.policy, AlwaysOnPolicy):
+            return
+        if not isinstance(self.dispatcher, (PriorityDispatcher, WeightedFairDispatcher)):
+            return
+        num_tenants = len(self.dispatcher.tenants)
+        if controller.min_awake < num_tenants:
+            raise ConfigurationError(
+                f"the {controller.policy_name} controller may park the farm down "
+                f"to min_awake={controller.min_awake} server(s), but the "
+                f"{self.dispatcher.kind} dispatcher needs one serviceable server "
+                f"for each of its {num_tenants} tenants; set min_awake >= "
+                f"{num_tenants} or use the always-on policy"
             )
 
     @property
@@ -851,11 +879,7 @@ class ServerFarm:
                 "with JobTrace.with_tenant_ids"
             )
         labels = np.asarray(labels)
-        if labels.size and int(labels.max()) >= len(qos.tenants):
-            raise ConfigurationError(
-                f"tenant label {int(labels.max())} out of range for "
-                f"{len(qos.tenants)} declared tenant(s)"
-            )
+        check_tenant_label_range(labels, len(qos.tenants))
         return labels
 
     def _assemble_result(

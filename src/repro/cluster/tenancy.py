@@ -42,6 +42,7 @@ higher-priority tenant never queues behind a lower-priority backlog.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -305,6 +306,11 @@ def tenant_partitions(
     return tuple(partitions)
 
 
+#: Jobs the priority assigner converts to Python lists at a time, so a
+#: one-shot million-job trace never holds a per-trace Python list.
+_SLICE_JOBS = 8192
+
+
 def _resolve_tenant_ids(
     tenant_ids: np.ndarray | None, num_tenants: int, kind: str
 ) -> np.ndarray | None:
@@ -322,12 +328,19 @@ def _resolve_tenant_ids(
             "JobTrace.with_tenant_ids"
         )
     labels = np.asarray(tenant_ids, dtype=np.int64)
-    if labels.size and int(labels.max(initial=0)) >= num_tenants:
-        raise ConfigurationError(
-            f"tenant label {int(labels.max())} out of range for "
-            f"{num_tenants} declared tenant(s)"
-        )
+    check_tenant_label_range(labels, num_tenants)
     return labels
+
+
+def check_tenant_label_range(labels: np.ndarray, num_tenants: int) -> None:
+    """Reject any label outside ``[0, num_tenants)``, negative ones included."""
+    if labels.size:
+        for label in (int(labels.min()), int(labels.max())):
+            if not 0 <= label < num_tenants:
+                raise ConfigurationError(
+                    f"tenant label {label} out of range for "
+                    f"{num_tenants} declared tenant(s)"
+                )
 
 
 class _TenantChunkCursor:
@@ -430,9 +443,11 @@ class _PriorityAssigner(StreamAssigner):
         )
         ordered = [tenants[t] for t in order]
         partitions = tenant_partitions(num_servers, ordered)
-        self._block = [(0, 0)] * len(tenants)
+        # Each tenant's reserved block as a (start, stop) server range.
+        self._blocks = [(0, 0)] * len(tenants)
         for rank, tenant_index in enumerate(order):
-            self._block[tenant_index] = partitions[rank]
+            start, size = partitions[rank]
+            self._blocks[tenant_index] = (start, start + size)
         self._tracker = WorkTracker(num_servers, server_speeds)
         self._cursor = _TenantChunkCursor(
             _resolve_tenant_ids(tenant_ids, len(tenants), "priority")
@@ -445,27 +460,41 @@ class _PriorityAssigner(StreamAssigner):
     ) -> np.ndarray:
         arrivals = np.asarray(arrival_times, dtype=float)
         demands = np.asarray(service_demands, dtype=float)
-        labels = self._cursor.take(len(arrivals))
-        assignment = np.empty(len(arrivals), dtype=np.int64)
+        count = len(arrivals)
+        labels = self._cursor.take(count)
+        assignment = np.empty(count, dtype=np.int64)
         busy = self._tracker.busy_until
-        for index in range(len(arrivals)):
-            if labels is None:
-                start, size = 0, self.num_servers
-            else:
-                start, size = self._block[labels[index]]
-            arrival = arrivals[index]
-            block = busy[start : start + size]
-            server = start + block.index(min(block))
-            if busy[server] > arrival:
-                # Own block saturated: overflow onto the first idle
-                # lower-priority server, if any (it starts the job now,
-                # beating any own-block queue).
-                for lower in range(start + size, self.num_servers):
-                    if busy[lower] <= arrival:
-                        server = lower
-                        break
-            assignment[index] = server
-            self._tracker.charge(server, arrival, demands[index])
+        factors = self._tracker.time_factors
+        num_servers = self.num_servers
+        blocks = [(0, num_servers)] if labels is None else self._blocks
+        for lo in range(0, count, _SLICE_JOBS):
+            hi = min(count, lo + _SLICE_JOBS)
+            slice_labels = (
+                itertools.repeat(0) if labels is None else labels[lo:hi].tolist()
+            )
+            servers = []
+            for arrival, demand, label in zip(
+                arrivals[lo:hi].tolist(), demands[lo:hi].tolist(), slice_labels
+            ):
+                start, stop = blocks[label]
+                block = busy[start:stop]
+                server = start + block.index(min(block))
+                free_at = busy[server]
+                if free_at > arrival:
+                    # Own block saturated: overflow onto the first idle
+                    # lower-priority server, if any (it starts the job now,
+                    # beating any own-block queue).
+                    for lower in range(stop, num_servers):
+                        if busy[lower] <= arrival:
+                            server = lower
+                            free_at = busy[lower]
+                            break
+                # WorkTracker.charge's arithmetic with max() spelled out.
+                busy[server] = (
+                    arrival if arrival > free_at else free_at
+                ) + demand * factors[server]
+                servers.append(server)
+            assignment[lo:hi] = servers
         return assignment
 
 

@@ -168,39 +168,100 @@ class TestEngineEquivalence:
             assert merge_streams(streams) == jobs
 
 
+def regime_shift_jobs(seed: int) -> JobTrace:
+    """Saturated, then light, then saturated again (one server's worth).
+
+    The saturated stretches are long enough for the heap engine's burst
+    backoff to reach its cap; the light stretch lets merge blocks commit
+    again, which resets it.
+    """
+    rng = np.random.default_rng(seed)
+    gaps = np.concatenate(
+        [
+            rng.exponential(MEAN_SERVICE / utilization, count)
+            for utilization, count in ((3.0, 9000), (0.1, 3000), (2.0, 9000))
+        ]
+    )
+    return JobTrace(np.cumsum(gaps), rng.exponential(MEAN_SERVICE, gaps.size))
+
+
+def chunked_assignment(assigner, jobs: JobTrace, chunk: int) -> np.ndarray:
+    return np.concatenate(
+        [
+            assigner.assign_chunk(
+                jobs.arrival_times[i : i + chunk], jobs.service_demands[i : i + chunk]
+            )
+            for i in range(0, len(jobs), chunk)
+        ]
+    )
+
+
+class TestFewHotServers:
+    """The regimes a right-sizing controller hands the least-loaded
+    dispatcher: one or two awake servers running at or past saturation.
+    These take the heap engine's one-server shortcut and its per-job burst
+    backoff, so they are pinned to the loop oracle one-shot and with chunk
+    boundaries cutting through the saturated stretches."""
+
+    @pytest.mark.parametrize("utilization", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("num_servers", [1, 2])
+    def test_saturated_byte_identical(self, num_servers, utilization):
+        jobs = poisson_jobs(40000, utilization, seed=int(utilization * 10) + 2)
+        np.testing.assert_array_equal(
+            LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
+            LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 997, 5000])
+    @pytest.mark.parametrize("num_servers", [1, 2])
+    def test_chunks_split_saturated_stretches(self, num_servers, chunk):
+        jobs = regime_shift_jobs(seed=num_servers)
+        loop = LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers)
+        assigner = LeastLoadedDispatcher(ENGINE_HEAP).assigner(
+            num_servers, total_jobs=len(jobs)
+        )
+        np.testing.assert_array_equal(chunked_assignment(assigner, jobs, chunk), loop)
+
+    def test_one_server_assigns_everything_to_server_zero(self):
+        jobs = TIE_TRACES[0]
+        assert not LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, 1).any()
+        empty = LeastLoadedDispatcher(ENGINE_HEAP).assigner(1).assign_chunk(
+            np.empty(0), np.empty(0)
+        )
+        assert empty.shape == (0,) and empty.dtype == np.int64
+
+
 class TestStreamingAssignment:
     """Chunked assignment must equal one-shot for every dispatcher."""
 
     @pytest.mark.parametrize("chunk", [1, 7, 997, 100000])
     def test_chunked_equals_one_shot(self, chunk):
         jobs = poisson_jobs(5000, 3.0, seed=11)
-        speeds = [1.0, 0.7, 1.0, 0.7]
-        dispatchers = [
-            RoundRobinDispatcher(),
-            RandomDispatcher(seed=5),
-            LeastLoadedDispatcher(),
-            LeastLoadedDispatcher(ENGINE_LOOP),
-            PowerAwareDispatcher([4.0, 5.0, 6.0, 7.0]),
-            PowerAwareDispatcher([4.0, 5.0, 6.0, 7.0], engine=ENGINE_LOOP),
-        ]
-        for dispatcher in dispatchers:
-            one_shot = dispatcher.assign(jobs, 4, server_speeds=speeds)
-            assigner = dispatcher.assigner(
-                4,
-                server_speeds=speeds,
-                total_jobs=len(jobs),
-                mean_service_demand=jobs.mean_service_demand,
-            )
-            parts = [
-                assigner.assign_chunk(
-                    jobs.arrival_times[i : i + chunk],
-                    jobs.service_demands[i : i + chunk],
-                )
-                for i in range(0, len(jobs), chunk)
+        # A mixed four-server farm and a one-server farm.
+        for speeds in ([1.0, 0.7, 1.0, 0.7], [1.0]):
+            num_servers = len(speeds)
+            idle_powers = [4.0, 5.0, 6.0, 7.0][:num_servers]
+            dispatchers = [
+                RoundRobinDispatcher(),
+                RandomDispatcher(seed=5),
+                LeastLoadedDispatcher(),
+                LeastLoadedDispatcher(ENGINE_LOOP),
+                PowerAwareDispatcher(idle_powers),
+                PowerAwareDispatcher(idle_powers, engine=ENGINE_LOOP),
             ]
-            np.testing.assert_array_equal(
-                np.concatenate(parts), one_shot, err_msg=type(dispatcher).__name__
-            )
+            for dispatcher in dispatchers:
+                one_shot = dispatcher.assign(jobs, num_servers, server_speeds=speeds)
+                assigner = dispatcher.assigner(
+                    num_servers,
+                    server_speeds=speeds,
+                    total_jobs=len(jobs),
+                    mean_service_demand=jobs.mean_service_demand,
+                )
+                np.testing.assert_array_equal(
+                    chunked_assignment(assigner, jobs, chunk),
+                    one_shot,
+                    err_msg=f"{type(dispatcher).__name__} on {num_servers} server(s)",
+                )
 
     def test_out_of_order_chunks_rejected(self):
         assigner = PowerAwareDispatcher([1.0, 2.0]).assigner(

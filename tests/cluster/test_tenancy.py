@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cluster.controller import FarmController
 from repro.cluster.dispatch import LeastLoadedDispatcher, merge_streams
 from repro.cluster.tenancy import (
     CompositeQosConstraint,
@@ -257,11 +258,63 @@ class TestTenantDispatchers:
         alpha_servers = assignment[np.asarray(trace.tenant_ids) == 0]
         assert alpha_servers.min() >= alpha_start
 
+    @pytest.mark.parametrize("dispatcher_cls", [PriorityDispatcher, WeightedFairDispatcher])
+    def test_negative_labels_rejected(self, dispatcher_cls):
+        """Regression: a -1 label used to index the last tenant's block
+        (priority) or leave an uninitialised server slot (weighted-fair)."""
+        trace = JobTrace.from_validated_arrays(
+            np.arange(6.0), np.full(6, 0.1), tenant_ids=[0, 1, -1, 0, 1, -1]
+        )
+        dispatcher = dispatcher_cls(_two_tenants())
+        with pytest.raises(ConfigurationError, match="tenant label -1 out of range"):
+            dispatcher.assign(trace, 4)
+        with pytest.raises(ConfigurationError, match="tenant label -1 out of range"):
+            dispatcher.assigner(4, tenant_ids=trace.tenant_ids)
+
+    def test_per_tenant_farm_rejects_negative_labels(self):
+        """The tenant-blind dispatcher never reads labels, so the farm's own
+        check is what stops a -1 job vanishing from every tenant row."""
+        built = get_scenario("noisy-neighbor").build(
+            seed=0, duration_minutes=6, dispatcher="least-loaded"
+        )
+        labels = np.array(built.jobs.tenant_ids)
+        labels[0] = -1
+        mislabelled = JobTrace.from_validated_arrays(
+            built.jobs.arrival_times, built.jobs.service_demands, tenant_ids=labels
+        )
+        with pytest.raises(ConfigurationError, match="tenant label -1 out of range"):
+            built.farm.run(mislabelled)
+
     def test_labelled_trace_required_when_multi_tenant(self):
         plain = JobTrace([0.0, 1.0], [0.1, 0.1])
         dispatcher = WeightedFairDispatcher(_two_tenants())
         with pytest.raises(ConfigurationError, match="label"):
             dispatcher.assign(plain, 4)
+
+
+class TestControllerHostsEveryTenant:
+    """A parking controller must keep a server per tenant, checked up front."""
+
+    OVERRIDES = dict(
+        duration_minutes=20, servers=4, crowd_utilization=0.05, victim_utilization=0.05
+    )
+
+    def test_parking_below_the_tenant_count_fails_at_build(self):
+        with pytest.raises(ConfigurationError, match=r"min_awake=1 .* 2 tenants"):
+            get_scenario("noisy-neighbor").build(
+                seed=0, controller=FarmController(policy="reactive"), **self.OVERRIDES
+            )
+
+    @pytest.mark.parametrize(
+        "controller",
+        [FarmController(policy="reactive", min_awake=2), FarmController(policy="always-on")],
+        ids=["min-awake-covers-tenants", "always-on"],
+    )
+    def test_controllers_that_keep_every_tenant_served_run(self, controller):
+        built = get_scenario("noisy-neighbor").build(
+            seed=0, controller=controller, **self.OVERRIDES
+        )
+        assert built.run().num_jobs == len(built.jobs)
 
 
 class TestTenantOutcomes:
