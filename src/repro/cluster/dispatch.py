@@ -479,10 +479,11 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
     * a **per-job heap step** (O(log m)) for everything the block
       certificate cannot validate: heterogeneous speeds, globally saturated
       stretches, exact value ties.  Steps run in bursts on plain Python
-      floats.  Each burst after a failed block attempt is twice as long as
-      the last, up to ``_MAX_FALLBACK_RUN``, so a saturated regime does not
-      pay one block attempt per ``_FALLBACK_RUN`` jobs; the burst length
-      resets as soon as a block commits.
+      floats read through memoryviews.  Each burst after a failed block
+      attempt is twice as long as the last, up to ``_MAX_FALLBACK_RUN``, so
+      a saturated regime does not pay one block attempt per
+      ``_FALLBACK_RUN`` jobs; the burst length resets as soon as a block
+      commits.
 
     Every comparison in both tiers is performed on exactly the float values
     the per-job loop computes, so the assignment is byte-identical to
@@ -590,6 +591,8 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
         assignment = np.empty(count, dtype=np.int64)
         factors = self._factors
         heapreplace = heapq.heapreplace
+        # Iterating a memoryview yields Python floats without a list copy.
+        arrival_view, demand_view = memoryview(arrivals), memoryview(demands)
         index = 0
         while index < count:
             committed = self._try_merge_block(arrivals, demands, assignment, index)
@@ -608,7 +611,7 @@ class _LeastLoadedHeapAssigner(StreamAssigner):
             heap = self._heap
             servers = []
             for arrival, demand in zip(
-                arrivals[index:stop].tolist(), demands[index:stop].tolist()
+                arrival_view[index:stop], demand_view[index:stop]
             ):
                 busy, server = heap[0]
                 finish = (arrival if arrival > busy else busy) + demand * factors[server]

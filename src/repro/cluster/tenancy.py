@@ -306,8 +306,8 @@ def tenant_partitions(
     return tuple(partitions)
 
 
-#: Jobs the priority assigner converts to Python lists at a time, so a
-#: one-shot million-job trace never holds a per-trace Python list.
+#: Jobs the priority assigner collects in one Python list before writing
+#: them back, so a one-shot million-job trace never holds a per-trace list.
 _SLICE_JOBS = 8192
 
 
@@ -459,7 +459,6 @@ class _PriorityAssigner(StreamAssigner):
         service_demands: Sequence[float] | np.ndarray,
     ) -> np.ndarray:
         arrivals = np.asarray(arrival_times, dtype=float)
-        demands = np.asarray(service_demands, dtype=float)
         count = len(arrivals)
         labels = self._cursor.take(count)
         assignment = np.empty(count, dtype=np.int64)
@@ -467,14 +466,18 @@ class _PriorityAssigner(StreamAssigner):
         factors = self._tracker.time_factors
         num_servers = self.num_servers
         blocks = [(0, num_servers)] if labels is None else self._blocks
+        # Iterating memoryviews yields Python floats and ints without list
+        # copies; assignments are written back one bounded slice at a time.
+        arrival_view = memoryview(arrivals)
+        demand_view = memoryview(np.asarray(service_demands, dtype=float))
+        label_view = None if labels is None else memoryview(labels)
         for lo in range(0, count, _SLICE_JOBS):
             hi = min(count, lo + _SLICE_JOBS)
-            slice_labels = (
-                itertools.repeat(0) if labels is None else labels[lo:hi].tolist()
-            )
             servers = []
             for arrival, demand, label in zip(
-                arrivals[lo:hi].tolist(), demands[lo:hi].tolist(), slice_labels
+                arrival_view[lo:hi],
+                demand_view[lo:hi],
+                itertools.repeat(0) if label_view is None else label_view[lo:hi],
             ):
                 start, stop = blocks[label]
                 block = busy[start:stop]
