@@ -90,7 +90,10 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         oracle="full",
         members=("full", "frontier"),
         import_evidence=("repro.core.search",),
-        description="frontier feasibility-boundary search vs full-grid selection",
+        description=(
+            "frontier search (bisected feasibility boundary, power-floor "
+            "pruning) vs full-grid selection"
+        ),
     ),
     ParityContract(
         name="executor",

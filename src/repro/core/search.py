@@ -21,24 +21,29 @@ policy **identical** to the full-grid oracle:
 * :class:`FrontierSearch` — exploits the monotone structure of the grid
   (the speed-scaling frontier of Wierman et al.): at a fixed sleep state,
   QoS slack is non-decreasing in frequency, so the feasible set is a suffix
-  of the sorted frequency axis whose boundary can be *bisected*; average
-  power along the feasible suffix is unimodal (a valley between the
-  run-slow and race-to-idle regimes), so the cheapest feasible setting is
-  found by bisecting for the first ascending power pair.  Both bisection
-  phases are warm-started from the previous epoch's boundary/winner.
+  of the sorted frequency axis whose boundary can be *bisected*, warm-started
+  from the previous epoch's boundary.  Power needs no shape assumption —
+  sleep-state wake penalties can give a column several valleys — because
+  every cell carries a solve-free **power floor**
+  (:meth:`_PolicyGrid.power_floors`, built from the trace's total demand and
+  arrival span and the platform's state powers over the whole frequency
+  axis).  The floors order the columns, skip every column and every suffix
+  cell that cannot beat the incumbent, and certify each column's minimum:
+  the feasible suffix is walked best-first in floor order until the next
+  floor exceeds the best power found.
 
-The engine never trusts those structural assumptions blindly.  Every probe
-is recorded, and a per-column **monotonicity certificate** — QoS slack
-non-decreasing in frequency over the probed window, probed powers
-valley-shaped around the claimed winner, no NaNs, no exact power ties —
-is checked before a column winner is accepted.  A violated certificate
-falls the column back to exhaustive evaluation; when no column has a
-feasible candidate at all, the engine falls back to the exhaustive grid so
-the infeasible ranking (largest slack, NaN-aware) also matches the oracle.
-The selected ``PolicySelection.policy`` therefore always equals the
-full-grid search on the same inputs, which
-``tests/core/test_search.py`` fuzzes and ``benchmarks/bench_policy_search.py``
-asserts on whole scenario runs.
+The engine never trusts the slack structure blindly.  Every probe is
+recorded, and a per-column **monotonicity certificate** — QoS slack
+non-decreasing in frequency over every probe whose slack was read, the
+feasible set exactly the bisected suffix, no NaNs — is checked before a
+column winner is accepted.  A violated certificate falls the column back to
+exhaustive evaluation; when no column has a feasible candidate at all, the
+engine falls back to the exhaustive grid so the infeasible ranking (largest
+slack, NaN-aware) also matches the oracle.  The selected
+``PolicySelection.policy`` therefore always equals the full-grid search on
+the same inputs, which ``tests/core/test_search.py`` and
+``tests/core/test_search_bound.py`` fuzz and
+``benchmarks/bench_policy_search.py`` asserts on whole scenario runs.
 
 Contract notes (see ``docs/ARCHITECTURE.md``):
 
@@ -84,6 +89,7 @@ from repro.exceptions import ConfigurationError
 from repro.policies.policy import Policy, dvfs_only_policy
 from repro.policies.space import PolicySpace
 from repro.power.platform import ServerPowerModel
+from repro.power.states import SystemState
 from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import (
     BACKEND_VECTORIZED,
@@ -333,8 +339,8 @@ class _Probe:
 
     Average power is read immediately (a scalar aggregate of the gap
     solution); slack and feasibility materialise the per-job arrays on
-    first access, so valley probes — which only ever compare power — never
-    pay for them.  Once slack and feasibility have been read the solution
+    first access, so power-walk probes that cannot become the column's best
+    never pay for them.  Once slack and feasibility have been read the solution
     is released, so a search holds the per-job arrays of at most the probe
     it is reading, not of every probe it has made.  ``slack_computed`` lets
     the certificate check slack monotonicity over exactly the probes whose
@@ -402,6 +408,7 @@ class _PolicyGrid:
             len(states) + len(self._deep_pairs) + int(space.include_dvfs_only)
         )
         self._cells: dict[tuple[int, int], Policy] = {}
+        self._residents: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -458,6 +465,82 @@ class _PolicyGrid:
             self._cells[cell] = policy
         return policy
 
+    def _resident_floors(self) -> np.ndarray:
+        """Per cell, the cheapest state the variant's sequence can sit in.
+
+        The DVFS-only pseudo state draws the active power.  Every sequence
+        of the grid is entered at ``tau_1 = 0``, so the pre-sleep idle power
+        never applies.  Each state is evaluated over the whole frequency
+        axis in one array call; the (frequency x variant) result is kept
+        with the grid.
+        """
+        if self._residents is None:
+            model = self.space.power_model
+            frequencies = self.frequencies
+            powers: dict[SystemState, np.ndarray] = {}
+
+            def resident(state: SystemState) -> np.ndarray:
+                if state not in powers:
+                    powers[state] = np.broadcast_to(
+                        model.system_power(state, frequencies), frequencies.shape
+                    )
+                return powers[state]
+
+            columns = [resident(state) for state in self.space.states]
+            columns += [
+                np.minimum(resident(shallow), resident(deepest))
+                for shallow, deepest, _ in self._deep_pairs
+            ]
+            if self.space.include_dvfs_only:
+                columns.append(model.active_power(frequencies))
+            self._residents = np.column_stack(columns)
+        return self._residents
+
+    def power_floors(
+        self, jobs: JobTrace, power_model: ServerPowerModel, scaling: ServiceScaling
+    ) -> np.ndarray:
+        """A solve-free lower bound on every cell's average power (F x V).
+
+        Let ``s = D * time_factor(f)`` be the serving time of the trace's
+        total demand ``D``, ``W`` the (unknown) total waking time, ``span``
+        the first-to-last arrival time, ``A`` the active power and ``p`` the
+        cell's cheapest resident power.  Serving and waking draw ``A`` and
+        every idle second at least ``p``, so over the horizon ``H`` the
+        energy is at least ``A * (s + W) + p * (H - s - W)``.  The no-wake
+        last departure is at most the last arrival plus ``s``, and the delay
+        carried into the last job is one wake-up at most, so
+        ``H <= span + s + W``.  As ``(s + W) / (span + s + W)`` only grows
+        with ``W``, ``power >= p + (A - p) * s / (span + s)`` when
+        ``A >= p``, and ``power >= A`` otherwise — whatever shape the power
+        curve has.  The result is shrunk by :data:`_FLOOR_MARGIN`.
+        """
+        residents = self._resident_floors()
+        arrivals = jobs.arrival_times
+        demand = float(np.sum(jobs.service_demands))
+        span = float(arrivals[-1] - arrivals[0])
+        if demand == 0.0 and span == 0.0:
+            # Zero-demand jobs at one instant: the kernel replaces the empty
+            # horizon by a tiny constant, so no floor holds.
+            return np.zeros(residents.shape)
+        serving = np.broadcast_to(
+            demand * scaling.time_factor(self.frequencies), self.frequencies.shape
+        )[:, None]
+        active = power_model.active_power(self.frequencies)[:, None]
+        busy_share = serving / (span + serving)
+        floors = np.where(
+            active >= residents, residents + (active - residents) * busy_share, active
+        )
+        return floors * (1.0 - _FLOOR_MARGIN)
+
+
+#: Relative margin taken off every power floor.  The floor is exact for
+#: DVFS-only cells and one-job traces, where it equals the solved power up
+#: to rounding; but the solved power sums its energy terms in another order
+#: (and the array power formulas may differ from the scalar ones by an ulp),
+#: so an unmargined floor could exceed a solved power by a few ulps and prune
+#: the winner.  Rounding stays orders of magnitude below this margin.
+_FLOOR_MARGIN = 1e-9
+
 
 class _CertificateViolation(Exception):
     """Raised inside a column search when a monotonicity assumption fails."""
@@ -482,6 +565,9 @@ class SearchStats:
     candidates_seen: int = 0
     #: Cells actually solved (a frontier -> full fallback solves some twice).
     candidates_evaluated: int = 0
+    #: Cells a frontier search never solved because their power floor lay
+    #: above the incumbent (whole columns, or the tail of a feasible suffix).
+    bound_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict snapshot (for reports and benchmarks)."""
@@ -493,23 +579,33 @@ class SearchStats:
             "fallback_full": self.fallback_full,
             "candidates_seen": self.candidates_seen,
             "candidates_evaluated": self.candidates_evaluated,
+            "bound_pruned": self.bound_pruned,
         }
 
 
 class FrontierSearch:
-    """Per-column frontier bisection with warm starts and certificates.
+    """Per-column feasibility bisection plus a floor-ordered power search.
+
+    :meth:`run` takes the grid's power-floor matrix (see
+    :meth:`_PolicyGrid.power_floors`) and visits the sleep-variant columns
+    in ascending order of their smallest floor; a column whose smallest
+    floor lies above the incumbent's power is skipped unsolved.  Within a
+    column the feasibility boundary is bisected (QoS slack is certified
+    monotone over the probes), then the feasible suffix is walked
+    best-first in floor order until the next floor exceeds the best power
+    found, which makes the column minimum exact whatever shape the power
+    curve has.
 
     One instance lives inside each :class:`PolicySearchEngine` and carries
-    the warm-start state — the previous epoch's feasibility boundary and
-    winner frequency per sleep-variant column — across selections.  Warm
-    starts only change *which* indices are probed first, never the answer:
-    the certificate is checked on whatever window was actually probed.
+    the previous epoch's feasibility boundary per column across
+    selections.  The warm start only changes *which* indices are probed
+    first, never the answer.
     """
 
     def __init__(self) -> None:
-        #: variant index -> (boundary frequency, winner frequency) of the
-        #: previous accepted frontier selection.
-        self._warm: dict[int, tuple[float, float]] = {}
+        #: variant index -> boundary frequency of the previous accepted
+        #: frontier selection.
+        self._warm: dict[int, float] = {}
 
     def reset(self) -> None:
         """Drop all warm-start state (selections are unaffected either way)."""
@@ -522,11 +618,18 @@ class FrontierSearch:
         grid: _PolicyGrid,
         variant: int,
         probe: Callable[[int, int], _Probe],
+        floors: np.ndarray,
+        incumbent: tuple[float, int, int] | None,
+        stats: SearchStats,
     ) -> int | None:
         """Index of the column's cheapest feasible frequency, or ``None``.
 
+        *floors* are the column's power floors and *incumbent* the best
+        ``(power, freq index, variant)`` of the columns already searched.
+        The returned index is the exact column minimum whenever that minimum
+        beats *incumbent*; otherwise it is some feasible cell that does not.
         Raises :class:`_CertificateViolation` when the probes contradict the
-        monotone-slack / unimodal-power structure.
+        monotone-slack structure.
         """
         last = grid.num_frequencies - 1
         probed: dict[int, _Probe] = {}
@@ -540,15 +643,12 @@ class FrontierSearch:
                 probed[index] = entry
             return entry
 
-        warm = self._warm.get(variant)
-        warm_boundary = warm_winner = None
-        if warm is not None:
-            frequencies = grid.frequencies
+        warm_boundary = self._warm.get(variant)
+        if warm_boundary is not None:
             warm_boundary = int(
-                np.clip(np.searchsorted(frequencies, warm[0] - 1e-12), 0, last)
-            )
-            warm_winner = int(
-                np.clip(np.searchsorted(frequencies, warm[1] - 1e-12), 0, last)
+                np.clip(
+                    np.searchsorted(grid.frequencies, warm_boundary - 1e-12), 0, last
+                )
             )
 
         # Phase 1 — find the feasibility boundary (slack is non-decreasing
@@ -591,226 +691,57 @@ class FrontierSearch:
         if not at(boundary).meets or (boundary > 0 and at(boundary - 1).meets):
             raise _CertificateViolation("feasibility bisection inconsistent")
 
-        # Phase 2 — locate the power minimum of the feasible suffix.  The
-        # empirical shape family of average power along the frequency axis
-        # has at most one descent block: pure ascent (run-slow regime, the
-        # minimum is the boundary), descent into a valley then ascent (the
-        # valley between run-slow and race-to-idle), or a short
-        # near-saturation bump followed by the descent.  The suffix minimum
-        # is therefore the boundary, the valley, or the top — located with
-        # a handful of anchored probes plus one bisection of the monotone
-        # descent/ascent transition.  An exact probed power tie is
-        # ambiguous for the oracle's first-minimum tie-break, so it voids
-        # the certificate.
-        def ascends(index: int) -> bool:
-            here, there = at(index).power, at(index + 1).power
-            if here == there:
-                raise _CertificateViolation("probed power tie")
-            return there > here
-
-        def first_ascent(low: int, high: int) -> int:
-            """First index in ``[low, high]`` whose next step ascends.
-
-            Valid when the pair direction is monotone (descent block then
-            ascent block) over the bracket; ``high`` when all descend.
-            """
-            while low < high:
-                mid = (low + high) // 2
-                if ascends(mid):
-                    high = mid
-                else:
-                    low = mid + 1
-            return low
-
-        winner = boundary
-        asc_until = desc_from = desc_until = None
-        if boundary < last:
-            if not ascends(boundary):
-                # Descending start: classic valley; find the first ascending
-                # pair.  The valley drifts slowly between epochs, so confirm
-                # the warm start with its two neighbouring pairs before
-                # falling back to bisection of the remaining bracket.
-                low, high = boundary, last
-                if warm_winner is not None and boundary < warm_winner < last:
-                    w = warm_winner
-                    if ascends(w):
-                        # Winner is at or left of w; A(boundary) is known
-                        # False, so one or two left probes usually pin it.
-                        if not ascends(w - 1):
-                            low = high = w
-                        elif w - 2 <= boundary or not ascends(w - 2):
-                            low = high = w - 1
-                        else:
-                            high = w - 2
-                    else:
-                        # Winner is right of w.
-                        low = w + 1
-                        if low < last and ascends(low):
-                            low = high = low
-                winner = first_ascent(low, high)
-                desc_from, desc_until = boundary, winner
-            elif not ascends(last - 1):
-                # Ascent at the boundary but descent at the top: the curve
-                # peaks and then descends through the end, so the suffix
-                # minimum is whichever end is cheaper (ties go to the
-                # earlier enumeration index, matching the oracle).
-                winner = last if at(last).power < at(boundary).power else boundary
-                asc_until = boundary + 1
-                desc_from, desc_until = last - 1, last
-            else:
-                # Ascent at both ends: either pure ascent (minimum at the
-                # boundary) or a bump hiding an interior valley.  Probe a
-                # few interior pairs — previous winner first, then the
-                # midpoint and quartiles — for a descent anchor.
-                anchor = None
-                mid = (boundary + last) // 2
-                if (
-                    warm_winner is not None
-                    and warm_boundary is not None
-                    and warm_winner <= warm_boundary
-                ):
-                    # The previous epoch already concluded pure ascent for
-                    # this column; one midpoint spot-check re-verifies it.
-                    hints = [mid]
-                else:
-                    hints = [mid, (boundary + mid) // 2, (mid + last) // 2]
-                    if warm_winner is not None:
-                        hints.insert(0, warm_winner - 1)
-                        hints.insert(1, warm_winner)
-                seen = set()
-                for hint in hints:
-                    hint = min(max(hint, boundary + 1), last - 2)
-                    if hint in seen or hint <= boundary or hint >= last - 1:
-                        continue
-                    seen.add(hint)
-                    if not ascends(hint):
-                        anchor = hint
-                        break
-                if anchor is None:
-                    winner = boundary  # pure ascent, as far as probed
-                    asc_until = last
-                else:
-                    valley = first_ascent(anchor, last)
-                    winner = (
-                        valley
-                        if at(valley).power < at(boundary).power
-                        else boundary
-                    )
-                    asc_until = boundary + 1
-                    desc_from, desc_until = anchor, valley
-
-        # Flat-band refinement: near its minimum the power curve can be
-        # almost flat (especially on fine frequency grids), where adjacent
-        # differences are dominated by gap-resolution granularity and pair
-        # directions wiggle; a bisection can then land a few indices off.
-        # Walk outward over the near-flat neighbourhood — every index whose
-        # power is within a small relative band of the located winner — and
-        # take the exact minimum, with ties resolved to the earlier index
-        # exactly like the oracle's first-minimum scan.
-        if boundary < last:
-            ceiling = at(winner).power * (1.0 + self._FLAT_BAND)
-            best_index, best_power = winner, at(winner).power
-            index = winner
-            while index > boundary and at(index - 1).power <= ceiling:
-                index -= 1
-                power = at(index).power
-                if power <= best_power:
-                    best_index, best_power = index, power
-            index = winner
-            while index < last and at(index + 1).power <= ceiling:
-                index += 1
-                power = at(index).power
-                if power < best_power:
-                    best_index, best_power = index, power
-            winner = best_index
-
-        if not at(winner).meets:
-            # Under a monotone slack the whole suffix is feasible; a winner
-            # that is not means the structure does not hold here.
-            raise _CertificateViolation("winner infeasible")
-        self._certify(
-            probed, boundary, asc_until, desc_from, desc_until, self._FLAT_BAND
-        )
-        self._warm[variant] = (
-            float(grid.frequencies[boundary]),
-            float(grid.frequencies[winner]),
-        )
-        return winner
-
-    #: Relative width of the near-flat neighbourhood around a located power
-    #: minimum.  Within this band, adjacent power differences are treated as
-    #: direction-free (gap-resolution granularity, not curve shape): the
-    #: winner refinement walks the whole band and certificate checks exempt
-    #: sub-band pairs.  Observed wiggle amplitudes are ~1e-5 relative; the
-    #: band is more than an order of magnitude wider.
-    _FLAT_BAND = 3e-4
+        # Phase 2 — the power minimum of the feasible suffix.  No cell can
+        # draw less than its floor, so walking the unprobed suffix cells in
+        # ascending floor order and stopping at the first floor above the
+        # best power in hand (this column's or the incumbent's, whichever is
+        # lower) leaves only cells that cannot win.  The stop is strict: a
+        # cell whose floor equals that power may still tie it from an
+        # earlier index, and ties go to the earlier index like the oracle's
+        # first-minimum scan.  Feasibility is read only on a cell that
+        # would become the new best; under a monotone slack every suffix
+        # cell is feasible, so an infeasible one voids the certificate.
+        best = min((probed[index].power, index) for index in probed if index >= boundary)
+        limit = best[0] if incumbent is None else min(best[0], incumbent[0])
+        suffix = floors[boundary:]
+        for index in (boundary + np.argsort(suffix, kind="stable")).tolist():
+            if index in probed:
+                continue
+            if floors[index] > limit:
+                break
+            entry = at(index)
+            order = (entry.power, index)
+            if order < best and (
+                incumbent is None or (*order, variant) < incumbent
+            ):
+                if not entry.meets:
+                    raise _CertificateViolation("improving suffix cell infeasible")
+                best = order
+                limit = min(limit, entry.power)
+        self._certify(probed, boundary)
+        stats.bound_pruned += suffix.size - sum(index >= boundary for index in probed)
+        self._warm[variant] = float(grid.frequencies[boundary])
+        return best[1]
 
     @staticmethod
-    def _certify(
-        probed: dict[int, _Probe],
-        boundary: int,
-        asc_until: int | None,
-        desc_from: int | None,
-        desc_until: int | None,
-        flat_band: float,
-    ) -> None:
-        """Check the probed window against the monotone-frontier structure.
+    def _certify(probed: dict[int, _Probe], boundary: int) -> None:
+        """Check the probed window against the monotone-slack structure.
 
-        Probed slacks must be non-decreasing in frequency, the feasible set
-        must be exactly the suffix from *boundary*, and probed powers must
-        match the shape regions the search established: ascending where
-        both pair ends lie in ``[boundary, asc_until]`` or at/after
-        ``desc_until``, descending where both lie in
-        ``[desc_from, desc_until]``.  Pairs straddling a region border, and
-        pairs whose power difference lies inside the flat band (direction
-        there is granularity noise the winner refinement already swept),
-        carry no power constraint.
+        Over every probe whose slack the search consumed, slack must be
+        non-decreasing in frequency and the feasible set must be exactly
+        the suffix from *boundary*.  Power needs no shape certificate: the
+        floor-ordered walk is exact on any curve.
         """
-        indices = sorted(probed)
         previous_slack = None
-        previous_power: tuple[int, float] | None = None
-        for index in indices:
+        for index in sorted(probed):
             entry = probed[index]
-            if entry.slack_computed:
-                # Slack checks cover exactly the probes whose slack the
-                # search consumed (feasibility phase + winner); valley
-                # probes stay power-only and are governed by the shape
-                # checks below.
-                if previous_slack is not None and entry.slack < previous_slack:
-                    raise _CertificateViolation("slack not monotone over probes")
-                previous_slack = entry.slack
-                if entry.meets != (index >= boundary):
-                    raise _CertificateViolation("feasible set is not a suffix")
-            if index < boundary:
+            if not entry.slack_computed:
                 continue
-            if previous_power is not None:
-                earlier_index, earlier_power = previous_power
-                ascended = entry.power > earlier_power
-                if abs(entry.power - earlier_power) <= flat_band * abs(
-                    earlier_power
-                ):
-                    previous_power = (index, entry.power)
-                    continue
-                if (
-                    asc_until is not None
-                    and index <= asc_until
-                    and not ascended
-                ):
-                    raise _CertificateViolation("power not ascending from boundary")
-                if (
-                    desc_from is not None
-                    and earlier_index >= desc_from
-                    and index <= desc_until
-                    and ascended
-                ):
-                    raise _CertificateViolation("power not descending to valley")
-                if (
-                    desc_until is not None
-                    and earlier_index >= desc_until
-                    and not ascended
-                ):
-                    raise _CertificateViolation("power not ascending from valley")
-            previous_power = (index, entry.power)
+            if previous_slack is not None and entry.slack < previous_slack:
+                raise _CertificateViolation("slack not monotone over probes")
+            previous_slack = entry.slack
+            if entry.meets != (index >= boundary):
+                raise _CertificateViolation("feasible set is not a suffix")
 
     # -- whole-grid search ----------------------------------------------------
 
@@ -818,20 +749,28 @@ class FrontierSearch:
         self,
         grid: _PolicyGrid,
         probe: Callable[[int, int], _Probe],
+        floors: np.ndarray,
         stats: SearchStats,
     ) -> tuple[int, int] | None:
         """The winning grid cell ``(freq index, variant index)``.
 
+        *floors* is the grid's (frequency x variant) power-floor matrix.
         ``None`` means no candidate anywhere is feasible (the caller must
         fall back to the exhaustive grid for oracle-identical infeasible
         ranking).  Columns whose certificate fails are re-evaluated
         exhaustively, so the returned winner always matches the oracle's
-        feasible minimum.
+        feasible minimum under its ``(power, freq index, variant)`` order.
         """
-        best: tuple[float, int, int] | None = None
-        for variant in range(grid.num_variants):
+        incumbent: tuple[float, int, int] | None = None
+        column_floors = floors.min(axis=0)
+        for variant in np.argsort(column_floors, kind="stable").tolist():
+            if incumbent is not None and column_floors[variant] > incumbent[0]:
+                stats.bound_pruned += grid.num_frequencies
+                continue
             try:
-                winner = self._column_winner(grid, variant, probe)
+                winner = self._column_winner(
+                    grid, variant, probe, floors[:, variant], incumbent, stats
+                )
             except _CertificateViolation:
                 stats.fallback_columns += 1
                 self._warm.pop(variant, None)
@@ -839,11 +778,11 @@ class FrontierSearch:
             if winner is None:
                 continue
             order = (probe(winner, variant).power, winner, variant)
-            if best is None or order < best:
-                best = order
-        if best is None:
+            if incumbent is None or order < incumbent:
+                incumbent = order
+        if incumbent is None:
             return None
-        return best[1], best[2]
+        return incumbent[1], incumbent[2]
 
     @staticmethod
     def _exhaustive_column(
@@ -1090,7 +1029,8 @@ class PolicySearchEngine:
                 self.stats.candidates_evaluated += 1
             return entry
 
-        winner = self._frontier.run(grid, probe, self.stats)
+        floors = grid.power_floors(jobs, self._power_model, self._scaling)
+        winner = self._frontier.run(grid, probe, floors, self.stats)
         if winner is None:
             # Nothing feasible anywhere: the oracle ranks by largest slack
             # over the whole table, so only the exhaustive grid can match it.

@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.power.states import CpuState
 
@@ -121,14 +123,26 @@ class CpuPowerModel:
         if any(v < 0 for v in values):
             raise ConfigurationError("CPU power coefficients must be non-negative")
 
-    def _check_frequency(self, frequency: float) -> None:
-        if not 0.0 <= frequency <= 1.0:
+    def _check_frequency(self, frequency: float | np.ndarray) -> None:
+        if isinstance(frequency, np.ndarray):
+            valid = bool(np.all((frequency >= 0.0) & (frequency <= 1.0)))
+        else:
+            valid = 0.0 <= frequency <= 1.0
+        if not valid:
             raise ConfigurationError(
                 f"frequency scaling factor must lie in [0, 1], got {frequency}"
             )
 
-    def power(self, state: CpuState, frequency: float = 1.0) -> float:
-        """CPU power (watts) in *state* at DVFS scaling factor *frequency*."""
+    def power(
+        self, state: CpuState, frequency: float | np.ndarray = 1.0
+    ) -> float | np.ndarray:
+        """CPU power (watts) in *state* at DVFS scaling factor *frequency*.
+
+        *frequency* may be a NumPy array of factors: the same expressions
+        then evaluate elementwise over the whole axis (the constant ``C3``
+        and ``C6`` powers stay scalars and broadcast).  Array results may
+        differ from the scalar ones by an ulp; scalar calls are unchanged.
+        """
         self._check_frequency(frequency)
         if state is CpuState.C0_ACTIVE:
             return self.active_coefficient * frequency**3

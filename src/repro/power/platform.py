@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 from repro.power.components import (
     CPU_STATE_TO_MODE,
@@ -81,8 +83,14 @@ class ServerPowerModel:
     # Power queries
     # ------------------------------------------------------------------
 
-    def cpu_power(self, state: CpuState, frequency: float = 1.0) -> float:
-        """CPU power (watts) in *state* at DVFS factor *frequency*."""
+    def cpu_power(
+        self, state: CpuState, frequency: float | np.ndarray = 1.0
+    ) -> float | np.ndarray:
+        """CPU power (watts) in *state* at DVFS factor *frequency*.
+
+        Like every power query below, *frequency* may be an array of factors
+        (see :meth:`CpuPowerModel.power`).
+        """
         return self.inventory.cpu.power(state, frequency)
 
     def platform_power(self, state: PlatformState, cpu_state: CpuState) -> float:
@@ -106,13 +114,15 @@ class ServerPowerModel:
             mode = ComponentMode.IDLE
         return self.inventory.platform_power(mode)
 
-    def system_power(self, state: SystemState, frequency: float = 1.0) -> float:
+    def system_power(
+        self, state: SystemState, frequency: float | np.ndarray = 1.0
+    ) -> float | np.ndarray:
         """Total server power (watts) in combined *state* at *frequency*."""
         return self.cpu_power(state.cpu, frequency) + self.platform_power(
             state.platform, state.cpu
         )
 
-    def active_power(self, frequency: float = 1.0) -> float:
+    def active_power(self, frequency: float | np.ndarray = 1.0) -> float | np.ndarray:
         """Power while actively serving jobs at DVFS factor *frequency*.
 
         This is the paper's ``P0 * f**3`` CPU term plus the active platform
@@ -124,7 +134,7 @@ class ServerPowerModel:
         """Active power at full frequency (the most the server can draw)."""
         return self.active_power(1.0)
 
-    def idle_power(self, frequency: float = 1.0) -> float:
+    def idle_power(self, frequency: float | np.ndarray = 1.0) -> float | np.ndarray:
         """Power in the operating-idle state ``C0(i)S0(i)`` at *frequency*."""
         return self.system_power(
             SystemState(CpuState.C0_IDLE, PlatformState.S0_IDLE), frequency

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
 
 
@@ -40,15 +42,25 @@ class ServiceScaling:
                 f"service scaling exponent beta must lie in [0, 1], got {self.beta}"
             )
 
-    def time_factor(self, frequency: float) -> float:
-        """Multiplier applied to nominal demands at the given *frequency*."""
-        if not 0.0 < frequency <= 1.0:
+    def time_factor(self, frequency: float | np.ndarray) -> float | np.ndarray:
+        """Multiplier applied to nominal demands at the given *frequency*.
+
+        An array of frequencies gives the factors elementwise (memory-bound
+        scaling stays the scalar 1.0, which broadcasts).
+        """
+        is_array = isinstance(frequency, np.ndarray)
+        if is_array:
+            valid = bool(np.all((frequency > 0.0) & (frequency <= 1.0)))
+        else:
+            valid = 0.0 < frequency <= 1.0
+        if not valid:
             raise ConfigurationError(
                 f"frequency must lie in (0, 1] for service scaling, got {frequency}"
             )
         if self.beta == 0.0:
             return 1.0
-        return float(frequency ** (-self.beta))
+        factor = frequency ** (-self.beta)
+        return factor if is_array else float(factor)
 
     def effective_service_rate(self, service_rate: float, frequency: float) -> float:
         """Effective service rate ``mu * f**beta`` at the given frequency."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -73,6 +74,9 @@ class TestCpuPowerModel:
             cpu.power(CpuState.C0_ACTIVE, 1.5)
         with pytest.raises(ConfigurationError):
             cpu.power(CpuState.C0_ACTIVE, -0.1)
+        for axis in ([0.5, 1.5], [0.5, np.nan]):
+            with pytest.raises(ConfigurationError):
+                cpu.power(CpuState.C0_ACTIVE, np.array(axis))
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(ConfigurationError):

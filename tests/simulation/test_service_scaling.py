@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -27,6 +28,9 @@ class TestServiceScaling:
     def test_partial_scaling(self):
         scaling = partially_bound(0.5)
         assert scaling.time_factor(0.25) == pytest.approx(2.0)
+        np.testing.assert_allclose(
+            scaling.time_factor(np.array([0.25, 1.0])), [2.0, 1.0], rtol=1e-15
+        )
 
     def test_effective_service_rate(self):
         scaling = cpu_bound()
@@ -63,6 +67,9 @@ class TestServiceScaling:
             cpu_bound().time_factor(0.0)
         with pytest.raises(ConfigurationError):
             cpu_bound().time_factor(1.5)
+        for axis in ([0.5, 0.0], [0.5, np.nan]):
+            with pytest.raises(ConfigurationError):
+                memory_bound().time_factor(np.array(axis))
 
     def test_rejects_bad_service_rate(self):
         with pytest.raises(ConfigurationError):
