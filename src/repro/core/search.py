@@ -477,23 +477,21 @@ class _PolicyGrid:
         if self._residents is None:
             model = self.space.power_model
             frequencies = self.frequencies
-            powers: dict[SystemState, np.ndarray] = {}
-
-            def resident(state: SystemState) -> np.ndarray:
-                if state not in powers:
-                    powers[state] = np.broadcast_to(
-                        model.system_power(state, frequencies), frequencies.shape
-                    )
-                return powers[state]
-
-            columns = [resident(state) for state in self.space.states]
+            states = self.space.states
+            # Deep pairs are made of these states too.  Frequency-independent
+            # states give scalars, which the column assignments broadcast.
+            powers = {state: model.system_power(state, frequencies) for state in states}
+            columns = [powers[state] for state in states]
             columns += [
-                np.minimum(resident(shallow), resident(deepest))
+                np.minimum(powers[shallow], powers[deepest])
                 for shallow, deepest, _ in self._deep_pairs
             ]
             if self.space.include_dvfs_only:
                 columns.append(model.active_power(frequencies))
-            self._residents = np.column_stack(columns)
+            residents = np.empty((self.num_frequencies, self.num_variants))
+            for variant, column in enumerate(columns):
+                residents[:, variant] = column
+            self._residents = residents
         return self._residents
 
     def power_floors(
@@ -522,10 +520,9 @@ class _PolicyGrid:
             # Zero-demand jobs at one instant: the kernel replaces the empty
             # horizon by a tiny constant, so no floor holds.
             return np.zeros(residents.shape)
-        serving = np.broadcast_to(
-            demand * scaling.time_factor(self.frequencies), self.frequencies.shape
-        )[:, None]
-        active = power_model.active_power(self.frequencies)[:, None]
+        column = self.frequencies[:, None]
+        serving = demand * scaling.time_factor(column)
+        active = power_model.active_power(column)
         busy_share = serving / (span + serving)
         floors = np.where(
             active >= residents, residents + (active - residents) * busy_share, active
