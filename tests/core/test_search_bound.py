@@ -26,7 +26,7 @@ from repro.core.qos import mean_qos_from_baseline, percentile_qos_from_baseline
 from repro.core.search import SEARCH_FRONTIER, SEARCH_FULL, _PolicyGrid
 from repro.policies.space import PolicySpace, dvfs_only_space, full_space
 from repro.power.platform import atom_power_model, xeon_power_model
-from repro.power.states import C3_S0I, C6_S0I, C6_S3
+from repro.power.states import C6_S3, LOW_POWER_STATES
 from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import TraceKernel
 from repro.simulation.service_scaling import ServiceScaling
@@ -182,8 +182,9 @@ class TestPowerFloor:
         ["dvfs-only, many jobs", "every variant, one job", "every variant, one instant"],
     )
     def test_floor_is_tight_where_exact(self, shape):
-        # No idle time to bound: the floor is the active power, which is the
-        # solved power up to rounding, so the margin is what keeps it below.
+        # No idle time to bound (one job, one arrival instant), or idling at
+        # the active power (DVFS-only): the floor is the active power, which
+        # is the solved power up to rounding, so the margin keeps it below.
         xeon = _MODELS["xeon"]
         if shape.startswith("dvfs"):
             space = dvfs_only_space(xeon, frequency_step=0.05)
@@ -220,7 +221,7 @@ class TestPowerFloor:
     def test_array_power_matches_scalar_power(self):
         for power_model in _MODELS.values():
             frequencies = np.linspace(0.05, 1.0, 20)
-            for state in (C3_S0I, C6_S0I, C6_S3):
+            for state in LOW_POWER_STATES:
                 array = np.broadcast_to(
                     power_model.system_power(state, frequencies), frequencies.shape
                 )
