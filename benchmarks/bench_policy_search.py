@@ -28,7 +28,7 @@ resolution while the full search scales linearly in it.
 Run directly (sizes shrink for CI smoke)::
 
     PYTHONPATH=src python benchmarks/bench_policy_search.py \
-        --epochs 200 --farm-minutes 60 --mega-minutes 20 --output BENCH_pr4.json
+        --epochs 200 --farm-minutes 60 --output BENCH_pr4.json
 
 Not a pytest module on purpose: the measurements need fixed large sizes and
 a JSON artifact, not statistical repetition.
@@ -64,6 +64,8 @@ CHARACTERIZATION_JOBS = 600
 NUM_XEON = 8
 NUM_ATOM = 8
 ATOM_CEILING = 0.7
+MEGA_SERVERS_PER_CLASS = 16
+MEGA_MINUTES = 20
 MEGA_EPOCH_MINUTES = 2.0
 MEGA_SERVER_UTILIZATION = 0.03
 
@@ -280,20 +282,19 @@ def bench_heterogeneous_farm(
     return row
 
 
-def bench_mega_farm(
-    servers_per_class: int, duration_minutes: int, frequency_step: float, seed: int
-) -> dict:
+def bench_mega_farm(frequency_step: float, seed: int) -> dict:
     """Xeon + Atom servers at about 0.03 utilisation each, least-loaded."""
     spec = google_workload()
-    num_servers = 2 * servers_per_class
-    values = np.full(duration_minutes, MEGA_SERVER_UTILIZATION * num_servers)
+    num_servers = 2 * MEGA_SERVERS_PER_CLASS
+    values = np.full(MEGA_MINUTES, MEGA_SERVER_UTILIZATION * num_servers)
     trace = UtilizationTrace(values, interval=minutes(1), name="bench-mega-farm")
     jobs = generate_trace_driven_jobs(spec, trace, seed=seed + 2).jobs
 
     def run(search):
         strategies: list = []
         servers = _farm_servers(
-            search, frequency_step, seed, (servers_per_class, servers_per_class),
+            search, frequency_step, seed,
+            (MEGA_SERVERS_PER_CLASS, MEGA_SERVERS_PER_CLASS),
             MEGA_EPOCH_MINUTES, strategies,
         )
         farm = ServerFarm(servers=servers, spec=spec, dispatcher=LeastLoadedDispatcher())
@@ -309,7 +310,7 @@ def bench_mega_farm(
     row = {
         "servers": num_servers,
         "server_utilization": MEGA_SERVER_UTILIZATION,
-        "duration_minutes": duration_minutes,
+        "duration_minutes": MEGA_MINUTES,
         "jobs": len(jobs),
         "frequency_step": frequency_step,
         "full_search_s": round(full_seconds, 3),
@@ -318,7 +319,6 @@ def bench_mega_farm(
         "parity": True,
         "grid_cells_per_selection": round(stats["candidates_seen"] / selections, 2),
         "solves_per_selection": round(solves_per_selection, 2),
-        "bound_pruned": stats["bound_pruned"],
         "frontier_stats": stats,
     }
     print(
@@ -347,13 +347,6 @@ def main(argv: list[str] | None = None) -> int:
         default=0.05,
         help="secondary (runtime-search) grid step reported alongside",
     )
-    parser.add_argument("--mega-minutes", type=int, default=20)
-    parser.add_argument(
-        "--mega-servers",
-        type=int,
-        default=16,
-        help="servers of each class (Xeon, Atom) in the mega-farm-shaped case",
-    )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--output", type=str, default=None, metavar="FILE")
     arguments = parser.parse_args(argv)
@@ -371,12 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         arguments.farm_minutes, arguments.coarse_step, arguments.seed
     )
     # The mega-farm scenario searches the runtime grid, hence the coarse step.
-    mega_farm = bench_mega_farm(
-        arguments.mega_servers,
-        arguments.mega_minutes,
-        arguments.coarse_step,
-        arguments.seed,
-    )
+    mega_farm = bench_mega_farm(arguments.coarse_step, arguments.seed)
 
     report = {
         "pr": 4,
@@ -389,8 +377,10 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark_file": "benchmarks/bench_policy_search.py",
         "workload": (
             "Google-like jobs (mean 4.2 ms); diurnal day/night cycle on one "
-            "Xeon SleepScale server, and constant 0.9 aggregate load on 16 "
-            "mixed Xeon/Atom servers behind a power-aware dispatcher"
+            "Xeon SleepScale server, constant 0.9 aggregate load on 16 "
+            "mixed Xeon/Atom servers behind a power-aware dispatcher, and "
+            "about 0.03 load per server on 32 mixed Xeon/Atom servers behind "
+            "a least-loaded dispatcher"
         ),
         "diurnal": {"fine_grid": diurnal_fine, "coarse_grid": diurnal_coarse},
         "heterogeneous_farm": {"fine_grid": farm_fine, "coarse_grid": farm_coarse},

@@ -26,7 +26,7 @@ policy **identical** to the full-grid oracle:
   sleep-state wake penalties can give a column several valleys — because
   every cell carries a solve-free **power floor**
   (:meth:`_PolicyGrid.power_floors`, built from the trace's total demand and
-  arrival span and the platform's state powers over the whole frequency
+  no-wake horizon and the platform's state powers over the whole frequency
   axis).  The floors order the columns, skip every column and every suffix
   cell that cannot beat the incumbent, and certify each column's minimum:
   the feasible suffix is walked best-first in floor order until the next
@@ -408,7 +408,6 @@ class _PolicyGrid:
             len(states) + len(self._deep_pairs) + int(space.include_dvfs_only)
         )
         self._cells: dict[tuple[int, int], Policy] = {}
-        self._residents: np.ndarray | None = None
 
     @classmethod
     def build(
@@ -465,77 +464,92 @@ class _PolicyGrid:
             self._cells[cell] = policy
         return policy
 
-    def _resident_floors(self) -> np.ndarray:
-        """Per cell, the cheapest state the variant's sequence can sit in.
-
-        The DVFS-only pseudo state draws the active power.  Every sequence
-        of the grid is entered at ``tau_1 = 0``, so the pre-sleep idle power
-        never applies.  Each state is evaluated over the whole frequency
-        axis in one array call; the (frequency x variant) result is kept
-        with the grid.
-        """
-        if self._residents is None:
-            model = self.space.power_model
-            frequencies = self.frequencies
-            states = self.space.states
-            # Deep pairs are made of these states too.  Frequency-independent
-            # states give scalars, which the column assignments broadcast.
-            powers = {state: model.system_power(state, frequencies) for state in states}
-            columns = [powers[state] for state in states]
-            columns += [
-                np.minimum(powers[shallow], powers[deepest])
-                for shallow, deepest, _ in self._deep_pairs
-            ]
-            if self.space.include_dvfs_only:
-                columns.append(model.active_power(frequencies))
-            residents = np.empty((self.num_frequencies, self.num_variants))
-            for variant, column in enumerate(columns):
-                residents[:, variant] = column
-            self._residents = residents
-        return self._residents
-
     def power_floors(
         self, jobs: JobTrace, power_model: ServerPowerModel, scaling: ServiceScaling
     ) -> np.ndarray:
         """A solve-free lower bound on every cell's average power (F x V).
 
         Let ``s = D * time_factor(f)`` be the serving time of the trace's
-        total demand ``D``, ``W`` the (unknown) total waking time, ``span``
-        the first-to-last arrival time, ``A`` the active power and ``p`` the
-        cell's cheapest resident power.  Serving and waking draw ``A`` and
-        every idle second at least ``p``, so over the horizon ``H`` the
-        energy is at least ``A * (s + W) + p * (H - s - W)``.  The no-wake
-        last departure is at most the last arrival plus ``s``, and the delay
-        carried into the last job is one wake-up at most, so
-        ``H <= span + s + W``.  As ``(s + W) / (span + s + W)`` only grows
-        with ``W``, ``power >= p + (A - p) * s / (span + s)`` when
-        ``A >= p``, and ``power >= A`` otherwise — whatever shape the power
-        curve has.  The result is shrunk by :data:`_FLOOR_MARGIN`.
+        total demand ``D``, ``W`` the (unknown) total waking time, ``A`` the
+        active power and ``p`` the cell's cheapest resident power.  Serving
+        and waking draw ``A`` and every idle second at least ``p``, so over
+        the horizon ``H`` the energy is at least
+        ``A * (s + W) + p * (H - s - W)``.  Wake-ups only delay departures,
+        and the delay carried into the last job is one wake-up at most, so
+        ``H <= H0 + W`` with ``H0`` the no-wake horizon: the Lindley last
+        departure minus the first arrival, a function of ``f`` alone.  As
+        ``s <= H0``, ``(s + W) / (H0 + W)`` only grows with ``W``, so
+        ``power >= p + (A - p) * s / H0`` when ``A >= p``, and
+        ``power >= A`` otherwise — whatever shape the power curve has.  The
+        result is shrunk by :data:`_FLOOR_MARGIN`.
+
+        ``p`` is the cheapest state a variant's sequence can sit in; the
+        DVFS-only pseudo state draws ``A``.  Every sequence of the grid is
+        entered at ``tau_1 = 0``, so the pre-sleep idle power never applies.
+        Each state is evaluated over the whole frequency axis in one array
+        call, and ``H0`` over the whole axis in one matrix reduction.
         """
-        residents = self._resident_floors()
+        shape = (self.num_frequencies, self.num_variants)
         arrivals = jobs.arrival_times
         demand = float(np.sum(jobs.service_demands))
         span = float(arrivals[-1] - arrivals[0])
         if demand == 0.0 and span == 0.0:
             # Zero-demand jobs at one instant: the kernel replaces the empty
             # horizon by a tiny constant, so no floor holds.
-            return np.zeros(residents.shape)
+            return np.zeros(shape)
+        model = self.space.power_model
+        states = self.space.states
+        # Deep pairs are made of these states too.  Frequency-independent
+        # states give scalars, which the column assignments broadcast.
+        powers = {state: model.system_power(state, self.frequencies) for state in states}
+        resident_columns = [powers[state] for state in states]
+        resident_columns += [
+            np.minimum(powers[shallow], powers[deepest])
+            for shallow, deepest, _ in self._deep_pairs
+        ]
+        if self.space.include_dvfs_only:
+            resident_columns.append(model.active_power(self.frequencies))
+        residents = np.empty(shape)
+        for variant, resident in enumerate(resident_columns):
+            residents[:, variant] = resident
         column = self.frequencies[:, None]
-        serving = demand * scaling.time_factor(column)
+        # A column of factors, or the scalar 1.0 under memory-bound scaling.
+        time_factor = scaling.time_factor(column)
+        serving = demand * time_factor
+        # The no-wake last departure is ``c * D + max_j (a_j - c * P_j)`` with
+        # ``c`` the time factor, ``a_j`` the arrivals and ``P_j`` the demand
+        # arrived before job j.  A job that wins the max at the largest ``c``
+        # beats every earlier job at every smaller ``c``, so the max only
+        # needs the jobs from that one on.
+        before = np.cumsum(jobs.service_demands) - jobs.service_demands
+        first = int(np.argmax(arrivals - np.max(time_factor) * before))
+        latest_start = np.max(
+            arrivals[first:] - time_factor * before[first:], axis=-1, keepdims=True
+        )
+        horizon = serving + (latest_start - arrivals[0])
         active = power_model.active_power(column)
-        busy_share = serving / (span + serving)
+        busy_share = serving / horizon
         floors = np.where(
             active >= residents, residents + (active - residents) * busy_share, active
         )
-        return floors * (1.0 - _FLOOR_MARGIN)
+        # The kernel's idle gaps and horizon are differences of absolute
+        # times, each a few ulps of their magnitude off; summed over the jobs,
+        # a trace far from t = 0 turns that into a relative error of about
+        # ``jobs * eps * (1 + |a_0| / H)``, largest at the shortest horizon.
+        rounding = (4 * arrivals.size + 12) * np.finfo(float).eps * (
+            1.0 + abs(float(arrivals[0])) / float(np.min(horizon))
+        )
+        return floors * (1.0 - _FLOOR_MARGIN - rounding)
 
 
 #: Relative margin taken off every power floor.  The floor is exact for
-#: DVFS-only cells and one-job traces, where it equals the solved power up
-#: to rounding; but the solved power sums its energy terms in another order
-#: (and the array power formulas may differ from the scalar ones by an ulp),
-#: so an unmargined floor could exceed a solved power by a few ulps and prune
-#: the winner.  Rounding stays orders of magnitude below this margin.
+#: DVFS-only cells, wake-free cells and one-job traces, where it equals the
+#: solved power up to rounding; but the solved power sums its energy terms in
+#: another order (and the array power formulas may differ from the scalar
+#: ones by an ulp), so an unmargined floor could exceed a solved power by a
+#: few ulps and prune the winner.  Relative rounding stays orders of
+#: magnitude below this margin; the absolute rounding of times far from
+#: ``t = 0`` is given up separately (see :meth:`_PolicyGrid.power_floors`).
 _FLOOR_MARGIN = 1e-9
 
 

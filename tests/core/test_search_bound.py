@@ -26,7 +26,7 @@ from repro.core.qos import mean_qos_from_baseline, percentile_qos_from_baseline
 from repro.core.search import SEARCH_FRONTIER, SEARCH_FULL, _PolicyGrid
 from repro.policies.space import PolicySpace, dvfs_only_space, full_space
 from repro.power.platform import atom_power_model, xeon_power_model
-from repro.power.states import C6_S3, LOW_POWER_STATES
+from repro.power.states import C0I_S0I, C6_S3, LOW_POWER_STATES
 from repro.simulation.engine import simulate_trace
 from repro.simulation.kernel import TraceKernel
 from repro.simulation.service_scaling import ServiceScaling
@@ -127,7 +127,10 @@ def traces(draw) -> JobTrace:
             draw(st.floats(min_value=0.0, max_value=1.0)) * demand
             for demand in demands[:-1]
         ]
-    start = draw(st.floats(min_value=0.0, max_value=10.0))
+    # Far-from-zero starts put absolute rounding into the solved horizon.
+    start = draw(st.sampled_from([0.0, 1e3, 1e6])) + draw(
+        st.floats(min_value=0.0, max_value=10.0)
+    )
     return JobTrace.from_interarrivals([start + gaps[0], *gaps[1:]], demands)
 
 
@@ -179,15 +182,26 @@ class TestPowerFloor:
 
     @pytest.mark.parametrize(
         "shape",
-        ["dvfs-only, many jobs", "every variant, one job", "every variant, one instant"],
+        [
+            "dvfs-only, many jobs",
+            "wake-free, many jobs",
+            "every variant, one job",
+            "every variant, one instant",
+        ],
     )
     def test_floor_is_tight_where_exact(self, shape):
-        # No idle time to bound (one job, one arrival instant), or idling at
-        # the active power (DVFS-only): the floor is the active power, which
-        # is the solved power up to rounding, so the margin keeps it below.
+        # No idle time to bound (one job, one arrival instant), idling at the
+        # active power (DVFS-only), or no wake-up to delay the no-wake
+        # horizon (C0(i)S0(i)): the floor is the solved power up to
+        # rounding, so the margin keeps it just below.
         xeon = _MODELS["xeon"]
         if shape.startswith("dvfs"):
             space = dvfs_only_space(xeon, frequency_step=0.05)
+            jobs = generate_jobs(_DNS, num_jobs=300, utilization=0.3, seed=4)
+        elif shape.startswith("wake-free"):
+            space = PolicySpace(
+                power_model=xeon, states=(C0I_S0I,), frequency_step=0.05
+            )
             jobs = generate_jobs(_DNS, num_jobs=300, utilization=0.3, seed=4)
         else:
             space = PolicySpace(
@@ -205,6 +219,21 @@ class TestPowerFloor:
                 power = kernel.solve(policy.frequency, policy.sleep).average_power
                 floor = floors[freq_index, variant]
                 assert power * (1.0 - 2e-9) <= floor <= power
+
+    def test_floor_holds_far_from_time_zero(self):
+        # At t = 1e5 the solved horizon of a 4.2 ms job is off by an ulp of
+        # 1e5, a relative error of about 3e-9, above the fixed margin.
+        xeon = _MODELS["xeon"]
+        space = full_space(xeon, frequency_step=0.05, include_dvfs_only=True)
+        grid = _PolicyGrid.build(space, 0.3)
+        jobs = JobTrace([1e5], [0.0042])
+        floors = grid.power_floors(jobs, xeon, space.scaling)
+        kernel = TraceKernel(jobs, xeon)
+        for freq_index in range(grid.num_frequencies):
+            for variant in range(grid.num_variants):
+                policy = grid.policy_at(freq_index, variant)
+                power = kernel.solve(policy.frequency, policy.sleep).average_power
+                assert floors[freq_index, variant] <= power, policy
 
     def test_zero_demand_instant_trace_has_no_floor(self):
         # The kernel replaces the empty horizon of such a trace by a tiny
