@@ -2,17 +2,19 @@
 
 Measures the dispatch-engine contract end to end:
 
-* ``LeastLoadedDispatcher`` and ``PowerAwareDispatcher`` on the ``"heap"``
-  engine vs. the retained per-job ``"loop"`` oracle, asserting
-  **byte-identical assignments** and reporting the speedups across traffic
-  regimes (the farm-scale regime — heavy aggregate traffic spread over 16
-  servers — is the headline), including the one- and two-server saturated
-  regimes a right-sizing controller leaves at peak;
+* ``LeastLoadedDispatcher`` on the ``"heap"`` engine vs. the retained
+  per-job ``"loop"`` oracle, asserting **byte-identical assignments** and
+  reporting the speedups across traffic regimes (the farm-scale regime —
+  heavy aggregate traffic spread over 16 servers — is the headline),
+  including the one- and two-server saturated regimes a right-sizing
+  controller leaves at peak;
 * ``PriorityDispatcher`` on a two-tenant burst vs. the plain transcription
   of its rule in ``tests/cluster/priority_reference.py``, asserting
   byte-identical assignments;
-* a chunked (streaming) ``ServerFarm.run`` vs. the one-shot path on a
-  reduced trace, asserting equivalence within ``rtol <= 1e-9``.
+* a chunked (streaming) ``ServerFarm.run`` behind a
+  ``PowerAwareDispatcher`` vs. the one-shot path on a reduced trace,
+  asserting equivalence within ``rtol <= 1e-9``.  Power-aware dispatch
+  has a single engine, so it has no heap-vs-loop case.
 
 Run directly (sizes shrink for CI smoke)::
 
@@ -107,27 +109,16 @@ def bench_dispatchers(num_jobs: int, seed: int) -> dict:
     """Fast path vs. oracle on every (dispatcher, regime, farm) case.
 
     Each case names a ``(fast, oracle)`` pair of assignment functions; the
-    least-loaded and power-aware oracles are the ``"loop"`` engines, the
-    priority dispatcher's is the reference transcription its test suite
-    pins it to.
+    least-loaded oracle is the ``"loop"`` engine, the priority dispatcher's
+    is the reference transcription its test suite pins it to.
     """
     num_servers = NUM_XEON + NUM_ATOM
     het_speeds = [1.0] * NUM_XEON + [ATOM_CEILING] * NUM_ATOM
-    idle_powers = [xeon_power_model().idle_power(1.0)] * NUM_XEON + [
-        atom_power_model().idle_power(1.0)
-    ] * NUM_ATOM
-
-    def engines(factory):
-        return tuple(
-            lambda jobs, servers, speeds, engine=engine: factory(engine).assign(
-                jobs, servers, server_speeds=speeds
-            )
-            for engine in (ENGINE_HEAP, ENGINE_LOOP)
-        )
-
-    least_loaded = engines(LeastLoadedDispatcher)
-    power_aware = engines(
-        lambda engine: PowerAwareDispatcher(idle_powers, engine=engine)
+    least_loaded = tuple(
+        lambda jobs, servers, speeds, engine=engine: LeastLoadedDispatcher(
+            engine
+        ).assign(jobs, servers, server_speeds=speeds)
+        for engine in (ENGINE_HEAP, ENGINE_LOOP)
     )
     priority = (
         lambda jobs, servers, speeds: PriorityDispatcher(PRIORITY_TENANTS).assign(
@@ -151,10 +142,6 @@ def bench_dispatchers(num_jobs: int, seed: int) -> dict:
         # autoscale-day workload): one or two awake servers running hot.
         "least_loaded_two_server_saturated": (least_loaded, 2.5, 2, None, synthetic_jobs),
         "least_loaded_one_server": (least_loaded, 0.9, 1, None, synthetic_jobs),
-        "power_aware_farm_scale": (power_aware, 0.9, num_servers, het_speeds, synthetic_jobs),
-        "power_aware_light_packing": (
-            power_aware, 0.1, num_servers, het_speeds, synthetic_jobs,
-        ),
         # The tenant-burst workload's shape: two tenants on four servers
         # under a load that saturates the crowd's block.
         "priority_two_tenant_burst": (priority, 3.0, 4, None, labelled_jobs),

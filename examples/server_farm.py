@@ -25,10 +25,10 @@ from __future__ import annotations
 import argparse
 
 from repro import (
-    ClusterRuntime,
     LmsCusumPredictor,
     RoundRobinDispatcher,
     RuntimeConfig,
+    ServerFarm,
     dns_workload,
     dvfs_only_strategy,
     generate_trace_driven_jobs,
@@ -79,8 +79,8 @@ def main() -> None:
 
     config = RuntimeConfig(epoch_minutes=5.0, rho_b=arguments.rho_b, over_provisioning=0.35)
 
-    def make_cluster(strategy_factory):
-        return ClusterRuntime(
+    def make_farm(strategy_factory):
+        return ServerFarm.homogeneous(
             num_servers=arguments.servers,
             power_model=power_model,
             spec=spec,
@@ -91,13 +91,13 @@ def main() -> None:
         )
 
     farms = {
-        "SleepScale": make_cluster(
+        "SleepScale": make_farm(
             lambda index: sleepscale_strategy(
                 power_model, qos, characterization_jobs=1000, seed=arguments.seed + index
             )
         ),
-        "Race-to-halt (C6)": make_cluster(lambda index: race_to_halt_c6(power_model)),
-        "DVFS-only": make_cluster(
+        "Race-to-halt (C6)": make_farm(lambda index: race_to_halt_c6(power_model)),
+        "DVFS-only": make_farm(
             lambda index: dvfs_only_strategy(
                 power_model, qos, characterization_jobs=1000, seed=arguments.seed + index
             )
@@ -106,8 +106,8 @@ def main() -> None:
 
     rows = []
     sleepscale_farm = None
-    for label, cluster in farms.items():
-        farm = cluster.run(workload.jobs)
+    for label, server_farm in farms.items():
+        farm = server_farm.run(workload.jobs)
         if label == "SleepScale":
             sleepscale_farm = farm
         rows.append(

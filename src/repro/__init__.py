@@ -44,7 +44,6 @@ Quickstart::
 """
 
 from repro.cluster import (
-    ClusterRuntime,
     FarmResult,
     LeastLoadedDispatcher,
     PowerAwareDispatcher,
@@ -155,7 +154,6 @@ __all__ = [
     "C3_S0I",
     "C6_S0I",
     "C6_S3",
-    "ClusterRuntime",
     "DvfsModel",
     "EXECUTORS",
     "EpochContext",

@@ -2,7 +2,7 @@
 
 Every fast path in this repo ships with a reference oracle and a parity
 test pinning the two bit-identical: the vectorized kernel against the
-per-job loop, the heap dispatch engine against the loop engine, the
+per-job loop, the least-loaded heap dispatch engine against its loop, the
 frontier search against the full grid, the process executor against
 serial, the mmap trace backend against in-memory, and the
 reactive/predictive controller policies against always-on.  That
@@ -81,7 +81,7 @@ PARITY_REGISTRY: tuple[ParityContract, ...] = (
         oracle="loop",
         members=("heap", "loop"),
         import_evidence=("repro.cluster.dispatch",),
-        description="heap-backed dispatch engine vs per-job loop engine",
+        description="least-loaded heap dispatch engine vs per-job loop engine",
     ),
     ParityContract(
         name="policy-search",

@@ -184,16 +184,17 @@ class DeterminismRule(Rule):
 
 #: Callables whose arguments cross (or may cross, depending on the
 #: ``executor=`` knob) a process boundary: the shard-task dataclasses
-#: and per-server factory holders the farm pickles, plus the fan-out
-#: entry point itself.  Keyword arguments to these must never be
-#: lambdas or local functions — exactly the PR 5 bug class.
+#: and per-server factory holders the farm pickles, plus
+#: ``ServerFarm.homogeneous``, which wraps its factories into them
+#: (matched by its last name part).  Keyword arguments to these must
+#: never be lambdas or local functions — exactly the PR 5 bug class.
 _BOUNDARY_CALLEES = frozenset(
     {
         "ServerSpec",
         "ServerShardTask",
         "SharedServerShardTask",
         "PerIndexFactory",
-        "ClusterRuntime",
+        "homogeneous",
     }
 )
 
@@ -234,7 +235,7 @@ class PicklabilityRule(Rule):
       (everywhere — the executor behind those calls is the caller's
       choice);
     * outside tests, the same passed to a shard-context constructor
-      (``ServerSpec``, ``ClusterRuntime``, ``PerIndexFactory``, the
+      (``ServerSpec``, ``ServerFarm.homogeneous``, ``PerIndexFactory``, the
       shard-task classes) — tests may build serial-only farms with local
       factories, library/benchmark/example code must stay
       process-ready;

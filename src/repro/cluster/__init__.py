@@ -1,12 +1,13 @@
 """Multi-server scale-out substrate (the paper's future-work direction).
 
-Homogeneous farms run through :class:`ClusterRuntime`; heterogeneous farms
-(mixed platforms, per-server policy managers) through :class:`ServerFarm`
-with one :class:`ServerSpec` per server.  Dispatchers decide which server
-each arriving job lands on (see :mod:`repro.cluster.dispatch`), and an
-optional :class:`FarmController` right-sizes the awake server set across
-epochs (see :mod:`repro.cluster.controller`).  Multi-tenant QoS — per-class
-budgets, tenant-aware dispatch and isolation metrics — lives in
+Every farm is a :class:`ServerFarm` with one :class:`ServerSpec` per server,
+so a farm can mix platforms and per-server policy managers;
+:meth:`ServerFarm.homogeneous` builds ``n`` identical servers.  Dispatchers
+decide which server each arriving job lands on (see
+:mod:`repro.cluster.dispatch`), and an optional :class:`FarmController`
+right-sizes the awake server set across epochs (see
+:mod:`repro.cluster.controller`).  Multi-tenant QoS — per-class budgets,
+tenant-aware dispatch and isolation metrics — lives in
 :mod:`repro.cluster.tenancy`.
 """
 
@@ -37,7 +38,6 @@ from repro.cluster.dispatch import (
     validate_engine,
 )
 from repro.cluster.farm import (
-    ClusterRuntime,
     FarmResult,
     PerIndexFactory,
     ServerFarm,
@@ -70,7 +70,6 @@ __all__ = [
     "FARM_QOS_MODES",
     "TENANT_DISPATCH_KINDS",
     "AlwaysOnPolicy",
-    "ClusterRuntime",
     "CompositeQosConstraint",
     "ControllerSchedule",
     "FarmController",

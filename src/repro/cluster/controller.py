@@ -51,11 +51,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cluster.dispatch import JobDispatcher, checked_assignment
 from repro.exceptions import ConfigurationError
 from repro.prediction.lms_cusum import LmsCusumPredictor
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (farm -> controller)
-    from repro.cluster.dispatch import JobDispatcher
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.workloads.jobs import JobTrace
 
 
@@ -497,7 +497,7 @@ def _build_regimes(
 
 def controller_assignment(
     jobs: "JobTrace",
-    dispatcher: "JobDispatcher",
+    dispatcher: JobDispatcher,
     schedule: ControllerSchedule,
     *,
     num_servers: int,
@@ -548,17 +548,16 @@ def controller_assignment(
                 None if jobs.tenant_ids is None else jobs.tenant_ids[lo:hi]
             ),
         )
-        local = np.asarray(
-            assigner.assign_chunk(arrivals[lo:hi], regime_demands), dtype=np.int64
+        local = checked_assignment(
+            np.asarray(
+                assigner.assign_chunk(arrivals[lo:hi], regime_demands),
+                dtype=np.int64,
+            ),
+            hi - lo,
+            len(members),
+            source="restricted dispatcher",
+            outside="outside the serviceable set",
         )
-        if local.shape != (hi - lo,):
-            raise ConfigurationError(
-                "restricted dispatcher returned an assignment of the wrong shape"
-            )
-        if local.min(initial=0) < 0 or local.max(initial=0) >= len(members):
-            raise ConfigurationError(
-                "restricted dispatcher assigned a job outside the serviceable set"
-            )
         assignment[lo:hi] = np.asarray(members, dtype=np.int64)[local]
     if assignment.min(initial=0) < 0:
         raise ConfigurationError(

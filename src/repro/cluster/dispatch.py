@@ -47,22 +47,23 @@ homogeneity-blind estimate bit for bit.
 The dispatch engine contract
 ----------------------------
 
-Mirroring the simulation-backend contract, every work-tracking dispatcher has
-two interchangeable engines:
+Mirroring the simulation-backend contract, least-loaded dispatch has two
+interchangeable engines:
 
 * ``"heap"`` (default) — O(n log m) for ``n`` jobs on ``m`` servers, built on
   :class:`WorkTracker`'s finish-time arithmetic with NumPy batch pre/post
-  processing.  Least-loaded dispatch has three tiers: a one-server farm
-  assigns every job to server 0 outright; a vectorised merge block commits
-  runs of jobs that find an idle server; and per-job heap steps cover the
-  rest in bursts that double (up to ``_MAX_FALLBACK_RUN`` jobs) while block
-  attempts keep failing, so a few servers running hot do not pay one block
-  attempt per handful of jobs;
+  processing.  It has three tiers: a one-server farm assigns every job to
+  server 0 outright; a vectorised merge block commits runs of jobs that
+  find an idle server; and per-job heap steps cover the rest in bursts
+  that double (up to ``_MAX_FALLBACK_RUN`` jobs) while block attempts keep
+  failing, so a few servers running hot do not pay one block attempt per
+  handful of jobs;
 * ``"loop"`` — the original per-job Python scan, kept as the reference
   oracle.
 
 The two produce **byte-identical assignments** for every trace (pinned by
-``tests/cluster/test_dispatch_engine.py``).  All dispatchers additionally
+``tests/cluster/test_dispatch_engine.py``).  Power-aware dispatch has one
+engine, its ranked per-job scan.  All dispatchers additionally
 support *streaming* assignment through :meth:`JobDispatcher.assigner`: the
 returned :class:`StreamAssigner` carries the dispatcher state across
 arrival-ordered chunks, so splitting one trace into chunks yields exactly the
@@ -91,8 +92,8 @@ from repro.workloads.jobs import JobTrace
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (farm imports dispatch)
     from repro.power.platform import ServerPowerModel
 
-#: Engine identifiers for the work-tracking dispatchers (the dispatch
-#: analogue of the simulation BACKENDS tuple).
+#: Engine identifiers for least-loaded dispatch (the dispatch analogue of
+#: the simulation BACKENDS tuple).
 ENGINE_HEAP = "heap"
 ENGINE_LOOP = "loop"
 DISPATCH_ENGINES = (ENGINE_HEAP, ENGINE_LOOP)
@@ -168,6 +169,29 @@ class WorkTracker:
     def backlog(self, server: int, now: float) -> float:
         """Outstanding estimated work of *server* at time *now*, seconds."""
         return max(self.busy_until[server] - now, 0.0)
+
+
+def checked_assignment(
+    assignment: np.ndarray,
+    num_jobs: int,
+    num_servers: int,
+    *,
+    source: str = "dispatcher",
+    outside: str = "to a non-existent server",
+) -> np.ndarray:
+    """Return *assignment* as an array after checking it is one server per job.
+
+    A dispatcher's output must hold ``num_jobs`` indices in
+    ``[0, num_servers)``.  One-shot, chunked and controller-masked runs
+    all check it here; *source* and *outside* word the error for the
+    caller.
+    """
+    assignment = np.asarray(assignment)
+    if assignment.shape != (num_jobs,):
+        raise ConfigurationError(f"{source} returned an assignment of the wrong shape")
+    if assignment.min(initial=0) < 0 or assignment.max(initial=0) >= num_servers:
+        raise ConfigurationError(f"{source} assigned a job {outside}")
+    return assignment
 
 
 class StreamAssigner(abc.ABC):
@@ -249,27 +273,19 @@ class JobDispatcher(abc.ABC):
         *,
         server_speeds: Sequence[float] | None = None,
     ) -> np.ndarray:
-        """:meth:`assign` plus the shape/range validation :meth:`dispatch` applies.
+        """:meth:`assign` checked by :func:`checked_assignment`.
 
-        The farm's zero-copy process path shards on raw assignments (it
-        ships per-server index ranges instead of copied sub-streams), so the
-        defensive checks that used to live only inside :meth:`dispatch` are
-        factored here and shared by both consumers.
+        :meth:`dispatch` and the farm's one-shot runs both consume this.
         """
         if num_servers < 1:
             raise ConfigurationError(
                 f"a farm needs at least one server, got {num_servers}"
             )
-        assignment = np.asarray(
-            self.assign(jobs, num_servers, server_speeds=server_speeds)
+        return checked_assignment(
+            self.assign(jobs, num_servers, server_speeds=server_speeds),
+            len(jobs),
+            num_servers,
         )
-        if assignment.shape != (len(jobs),):
-            raise ConfigurationError(
-                "dispatcher returned an assignment of the wrong shape"
-            )
-        if assignment.min(initial=0) < 0 or assignment.max(initial=0) >= num_servers:
-            raise ConfigurationError("dispatcher assigned a job to a non-existent server")
-        return assignment
 
     def dispatch(
         self,
@@ -444,9 +460,9 @@ class RandomDispatcher(JobDispatcher):
 # ---------------------------------------------------------------------------
 
 
-#: Adaptive vector-block sizing shared by the heap engines: attempts start
-#: small so a regime mismatch costs little, and grow while blocks commit
-#: fully so the numpy overhead amortises over long runs.
+#: Adaptive vector-block sizing of the least-loaded heap engine: attempts
+#: start small so a regime mismatch costs little, and grow while blocks
+#: commit fully so the numpy overhead amortises over long runs.
 _MIN_BLOCK = 256
 _MAX_BLOCK = 131072
 #: Per-job fallback burst after a block attempt commits almost nothing, so
@@ -675,21 +691,8 @@ class LeastLoadedDispatcher(JobDispatcher):
         return _LeastLoadedLoopAssigner(num_servers, server_speeds)
 
 
-class _PowerAwareHeapAssigner(StreamAssigner):
-    """Efficiency-ranked packing with vectorised run batching.
-
-    The packing policy produces long *runs* of consecutive jobs on the same
-    server — the most efficient one whose backlog is below the threshold —
-    so the fast tier batches whole runs: the server's finish-time evolution
-    over a candidate run is the Lindley recursion, vectorised as ``cumsum``
-    + ``maximum.accumulate``, and the run ends at the first exact predicate
-    violation (a more efficient server becomes eligible, or the backlog
-    crosses the threshold).  Jobs outside a committable run fall back to
-    the exact per-job ranked scan.  An EMA of recent run lengths gates the
-    probing so regimes with rapidly alternating packing (saturation,
-    threshold bouncing) degrade to plain per-job cost instead of paying a
-    fixed numpy probe cost per short run.
-    """
+class _PowerAwareAssigner(StreamAssigner):
+    """The ranked per-job scan, with its backlog state carried across chunks."""
 
     def __init__(
         self,
@@ -700,196 +703,18 @@ class _PowerAwareHeapAssigner(StreamAssigner):
     ):
         super().__init__(num_servers)
         self._tracker = WorkTracker(num_servers, server_speeds)
-        self._threshold = threshold
         self._ranking = list(ranking)
-        rank_of = [0] * num_servers
-        for rank, server in enumerate(ranking):
-            rank_of[server] = rank
-        self._rank_of = rank_of
+        self._threshold = threshold
         self._last_arrival = -np.inf
-        self._block = _MIN_BLOCK
-        # Exponential moving average of run-block commit sizes: probing has
-        # a fixed numpy-call cost, so it is only worth it while runs are
-        # long (light traffic or generous backlog thresholds).  Optimistic
-        # start; decays below the gate after a few short runs.
-        self._run_ema = float(_MAX_BLOCK)
-
-    def _try_run_block(
-        self,
-        arrivals: np.ndarray,
-        demands: np.ndarray,
-        assignment: np.ndarray,
-        start: int,
-        server: int,
-    ) -> int:
-        """Commit a run of consecutive jobs onto the already-chosen *server*.
-
-        Returns how many jobs were committed (possibly 0).  The run is valid
-        while, per job,
-
-        * no higher-ranked (more efficient) server becomes eligible:
-          ``cutoff < min(busy of higher-ranked)`` — higher-ranked finish
-          times are frozen during the run, so this is one elementwise
-          predicate on the cutoffs;
-        * the server itself stays at or below the backlog threshold:
-          ``finish so far <= cutoff``, with the running finish times given
-          by the Lindley recursion ``f = max(f, arrival) + w`` expressed as
-          ``cumsum`` + ``maximum.accumulate``.
-
-        The cumsum form rounds differently from the per-job sequential
-        additions (last-ulp differences), so the block is committed only
-        where its comparisons are *provably* on the same side as the
-        sequential arithmetic: any comparison landing within a rigorous
-        rounding-error margin of the boundary ends the block, and the
-        ambiguous job falls back to the exact per-job step.  The committed
-        final finish time is recomputed with sequential additions from the
-        run's last (unambiguous) idle restart, so the server state carried
-        out of the block matches the per-job arithmetic bit for bit.
-        """
-        count = len(arrivals) - start
-        if count < 2:
-            return 0
-        tracker = self._tracker
-        busy_until = tracker.busy_until
-        busy_start = busy_until[server]
-        higher = self._ranking[: self._rank_of[server]]
-        t_higher = min((busy_until[r] for r in higher), default=np.inf)
-        block = min(self._block, count)
-        block_arrivals = arrivals[start : start + block]
-        cutoffs = block_arrivals + self._threshold
-        work = demands[start : start + block] * tracker.time_factors[server]
-        totals = np.cumsum(work)
-        # Lindley: f_k = W_k + max(busy_start, max_{l<=k}(a_l - W_{l-1})).
-        restart_levels = block_arrivals - (totals - work)
-        peaks = np.maximum.accumulate(np.maximum(restart_levels, busy_start))
-        finishes = totals + peaks
-        # All terms are non-negative, so the cumsum-form values differ from
-        # the sequential ones by at most ~n*eps times the magnitudes below;
-        # comparisons inside this margin are ambiguous and end the block.
-        margin = (
-            (8.0 * np.finfo(float).eps)
-            * np.arange(2, block + 2)
-            * (totals + block_arrivals + busy_start)
-        )
-        good = cutoffs < t_higher  # exact: single-op cutoffs vs frozen busy
-        good[1:] &= finishes[:-1] <= cutoffs[1:] - margin[:-1]
-        # Idle-restart classification must also be unambiguous, or the
-        # exact-tail recomputation below could start from a wrong restart.
-        good[1:] &= np.abs(restart_levels[1:] - peaks[:-1]) > margin[1:]
-        committed = int(np.argmin(good)) if not good.all() else block
-        if committed == block:
-            self._block = min(self._block * 2, _MAX_BLOCK)
-        elif committed < block // 2:
-            self._block = max(self._block // 2, _MIN_BLOCK)
-        if committed == 0:
-            return 0
-        assignment[start : start + committed] = server
-        # Exact final finish: sequential adds from the last idle restart
-        # (or from the carried-in backlog if the server never went idle).
-        restarts = np.nonzero(
-            (restart_levels[:committed] == peaks[:committed])
-            & (restart_levels[:committed] > busy_start)
-        )[0]
-        if restarts.size:
-            last = int(restarts[-1])
-            finish = block_arrivals[last] + work[last]
-        else:
-            last = 0
-            finish = (
-                busy_start + work[0]
-                if busy_start >= block_arrivals[0]
-                else block_arrivals[0] + work[0]
-            )
-        tail = work[last + 1 : committed]
-        if tail.size:
-            # np.cumsum accumulates strictly left to right, so this matches
-            # the per-job `finish += w` additions bit for bit.
-            finish = np.cumsum(np.concatenate(([finish], tail)))[-1]
-        busy_until[server] = float(finish)
-        self._last_arrival = float(block_arrivals[committed - 1])
-        return committed
 
     def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = np.ascontiguousarray(arrival_times, dtype=float)
-        demands = np.ascontiguousarray(service_demands, dtype=float)
-        if arrivals.size and (
-            np.any(np.diff(arrivals) < 0) or arrivals[0] < self._last_arrival
+        arrival_array = np.asarray(arrival_times, dtype=float)
+        if arrival_array.size and (
+            np.any(np.diff(arrival_array) < 0)
+            or arrival_array[0] < self._last_arrival
         ):
             raise TraceError("streaming dispatch requires arrival-ordered chunks")
-        count = len(arrivals)
-        arrival_list = arrivals.tolist()
-        demand_list = demands.tolist()
-        assignment = np.empty(count, dtype=np.int64)
-        tracker = self._tracker
-        busy_until = tracker.busy_until
-        ranking, threshold = self._ranking, self._threshold
-        charge = tracker.charge
-        index = 0
-        while index < count:
-            # Probe for a vectorisable run on the currently chosen server.
-            arrival = arrival_list[index]
-            cutoff = arrival + threshold
-            for candidate in ranking:
-                if busy_until[candidate] <= cutoff:
-                    server = candidate
-                    break
-            else:
-                server = None
-            fallback_span = _FALLBACK_RUN
-            if server is not None:
-                committed = self._try_run_block(
-                    arrivals, demands, assignment, index, server
-                )
-                if committed:
-                    self._run_ema = 0.75 * self._run_ema + 0.25 * committed
-                    index += committed
-                    if self._run_ema < 2 * _FALLBACK_RUN:
-                        # Runs keep breaking (threshold bouncing): stay
-                        # per-job for a long stretch and re-probe only
-                        # occasionally, so the fixed probe cost cannot
-                        # dominate.
-                        fallback_span = 16 * _FALLBACK_RUN
-                    elif committed >= _SMALL_COMMIT:
-                        fallback_span = 0
-                # A structural reject (committed == 0, usually a short spill
-                # stretch while a better-ranked server drains) keeps the
-                # short fallback span without poisoning the run-length EMA.
-            # Per-job stretch: the exact ranked scan, in a tight loop.
-            stop = min(count, index + fallback_span)
-            while index < stop:
-                arrival = arrival_list[index]
-                cutoff = arrival + threshold
-                for candidate in ranking:
-                    if busy_until[candidate] <= cutoff:
-                        server = candidate
-                        break
-                else:
-                    server = busy_until.index(min(busy_until))
-                assignment[index] = server
-                charge(server, arrival, demand_list[index])
-                index += 1
-        if count:
-            self._last_arrival = arrival_list[-1]
-        return assignment
-
-
-class _PowerAwareLoopAssigner(StreamAssigner):
-    """The original ranked per-job scan, retained as the reference oracle."""
-
-    def __init__(
-        self,
-        num_servers: int,
-        server_speeds: Sequence[float] | None,
-        ranking: Sequence[int],
-        threshold: float,
-    ):
-        super().__init__(num_servers)
-        self._tracker = WorkTracker(num_servers, server_speeds)
-        self._ranking = list(ranking)
-        self._threshold = threshold
-
-    def assign_chunk(self, arrival_times, service_demands) -> np.ndarray:
-        arrivals = np.asarray(arrival_times, dtype=float).tolist()
+        arrivals = arrival_array.tolist()
         demands = np.asarray(service_demands, dtype=float).tolist()
         tracker = self._tracker
         busy_until = tracker.busy_until
@@ -906,6 +731,8 @@ class _PowerAwareLoopAssigner(StreamAssigner):
                 server = busy_until.index(min(busy_until))
             assignment[index] = server
             tracker.charge(server, arrival, demand)
+        if arrivals:
+            self._last_arrival = arrivals[-1]
         return assignment
 
 
@@ -922,9 +749,10 @@ class PowerAwareDispatcher(JobDispatcher):
     level: the low-power platforms absorb the base load and the power-hungry
     ones only wake under pressure.
 
-    ``engine="heap"`` (default) assigns in O(n log m); ``engine="loop"`` is
-    the retained per-job reference oracle.  Both produce byte-identical
-    assignments.
+    Assignment is one ranked scan per job, O(n m) for ``n`` jobs on ``m``
+    servers.  Unlike least-loaded dispatch it has no heap engine: a
+    vectorised run-batching engine never beat this scan on farm-sized
+    traces.
 
     Parameters
     ----------
@@ -941,7 +769,6 @@ class PowerAwareDispatcher(JobDispatcher):
         self,
         idle_powers: Sequence[float],
         max_backlog: float | None = None,
-        engine: str = ENGINE_HEAP,
     ):
         self._idle_powers = np.asarray(idle_powers, dtype=float)
         if self._idle_powers.ndim != 1 or self._idle_powers.size == 0:
@@ -953,7 +780,6 @@ class PowerAwareDispatcher(JobDispatcher):
                 f"max_backlog must be positive, got {max_backlog}"
             )
         self._max_backlog = max_backlog
-        self._engine = validate_engine(engine)
         # Stable sort: equally efficient servers keep index order.
         self._ranking = np.argsort(self._idle_powers, kind="stable")
 
@@ -962,13 +788,11 @@ class PowerAwareDispatcher(JobDispatcher):
         cls,
         power_models: Sequence["ServerPowerModel"],
         max_backlog: float | None = None,
-        engine: str = ENGINE_HEAP,
     ) -> "PowerAwareDispatcher":
         """Rank servers by their operating-idle power ``C0(i)S0(i)``."""
         return cls(
             [model.idle_power(1.0) for model in power_models],
             max_backlog=max_backlog,
-            engine=engine,
         )
 
     def _resolve_threshold(self, mean_service_demand: float | None) -> float:
@@ -994,14 +818,11 @@ class PowerAwareDispatcher(JobDispatcher):
             raise ConfigurationError(
                 f"got {self._idle_powers.size} idle powers for {num_servers} servers"
             )
-        threshold = self._resolve_threshold(mean_service_demand)
-        ranking = self._ranking.tolist()
-        if self._engine == ENGINE_HEAP:
-            return _PowerAwareHeapAssigner(
-                num_servers, server_speeds, ranking, threshold
-            )
-        return _PowerAwareLoopAssigner(
-            num_servers, server_speeds, ranking, threshold
+        return _PowerAwareAssigner(
+            num_servers,
+            server_speeds,
+            self._ranking.tolist(),
+            self._resolve_threshold(mean_service_demand),
         )
 
     def assign(
@@ -1027,9 +848,7 @@ class PowerAwareDispatcher(JobDispatcher):
 
     def restrict(self, indices: Sequence[int]) -> "PowerAwareDispatcher":
         return PowerAwareDispatcher(
-            self._idle_powers[list(indices)],
-            max_backlog=self._max_backlog,
-            engine=self._engine,
+            self._idle_powers[list(indices)], max_backlog=self._max_backlog
         )
 
 

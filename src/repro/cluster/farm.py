@@ -7,19 +7,17 @@ the single-server :class:`~repro.core.runtime.SleepScaleRuntime` does.  The
 farm result aggregates the per-server outcomes into farm-level power and
 latency metrics.
 
-Two runtimes share this machinery:
-
-* :class:`ClusterRuntime` — the original *homogeneous* farm: one power model,
-  one runtime config, and per-index strategy/predictor factories, replicated
-  across ``num_servers`` identical servers;
-* :class:`ServerFarm` — the *heterogeneous* generalisation: an explicit list
-  of :class:`ServerSpec` entries, each carrying its own platform power model,
-  policy-management strategy (and therefore its own
-  :class:`~repro.core.policy_manager.PolicyManager`), predictor, runtime
-  config, service-scaling rule and dispatch-visible frequency ceiling.
-  Mixing e.g. Xeon- and Atom-class servers behind a
-  :class:`~repro.cluster.dispatch.PowerAwareDispatcher` is the substrate for
-  the energy-proportionality scenarios in :mod:`repro.scenarios`.
+One class, :class:`ServerFarm`, runs every farm: an explicit list of
+:class:`ServerSpec` entries, each carrying its own platform power model,
+policy-management strategy (and therefore its own
+:class:`~repro.core.policy_manager.PolicyManager`), predictor, runtime
+config, service-scaling rule and dispatch-visible frequency ceiling.
+:meth:`ServerFarm.homogeneous` builds the common special case of ``n``
+identical servers from one power model, one config and per-index
+strategy/predictor factories.  Mixing e.g. Xeon- and Atom-class servers
+behind a :class:`~repro.cluster.dispatch.PowerAwareDispatcher` is the
+substrate for the energy-proportionality scenarios in
+:mod:`repro.scenarios`.
 
 Execution model: the dispatcher assigns every job to a server *first* (from
 arrival times and nominal service demands only — the front end cannot see
@@ -56,6 +54,7 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -65,7 +64,11 @@ from repro.cluster.controller import (
     FarmController,
     controller_assignment,
 )
-from repro.cluster.dispatch import JobDispatcher, RoundRobinDispatcher
+from repro.cluster.dispatch import (
+    JobDispatcher,
+    RoundRobinDispatcher,
+    checked_assignment,
+)
 from repro.cluster.tenancy import (
     FarmQos,
     PriorityDispatcher,
@@ -78,7 +81,6 @@ from repro.cluster.tenancy import (
 from repro.concurrency import Executor, SerialExecutor, resolve_executor
 from repro.core.epoch import RuntimeResult
 from repro.core.runtime import RuntimeConfig, RuntimeSession, SleepScaleRuntime
-from repro.core.qos import QosConstraint
 from repro.core.search import CharacterizationCache
 from repro.core.strategies import PowerManagementStrategy
 from repro.exceptions import ConfigurationError
@@ -116,8 +118,8 @@ class PerIndexFactory:
     Unlike the ``lambda index=index: factory(index)`` closure it replaces,
     an instance is *picklable* whenever the wrapped factory is (a module
     level function, ``functools.partial`` of one, or a factory dataclass),
-    which is what lets :meth:`ClusterRuntime.as_server_farm` farms run on
-    the process executor.
+    which is what lets :meth:`ServerFarm.homogeneous` farms run on the
+    process executor.
     """
 
     factory: Callable[[int], object]
@@ -620,7 +622,7 @@ class ServerSpec:
 
 @dataclass
 class ServerFarm:
-    """A heterogeneous farm: one explicit :class:`ServerSpec` per server.
+    """A (possibly heterogeneous) farm: one :class:`ServerSpec` per server.
 
     Each server runs its own :class:`~repro.core.runtime.SleepScaleRuntime`
     over the sub-stream the dispatcher assigns to it, with its own platform
@@ -694,10 +696,10 @@ class ServerFarm:
         that replaces the historically scattered per-call qos plumbing.
         ``None`` and ``FarmQos.strictest()`` keep the historic behaviour
         bit-for-bit (the farm's budget stays the strictest per-server
-        budget); a bare :class:`~repro.core.qos.QosConstraint` is wrapped
-        into ``FarmQos.strictest(constraint)`` (deprecation shim);
-        ``FarmQos.per_tenant(...)`` enables per-class accounting — the
-        result then carries per-tenant latency rows and SLA verdicts.
+        budget); ``FarmQos.per_tenant(...)`` enables per-class accounting —
+        the result then carries per-tenant latency rows and SLA verdicts.
+        A bare :class:`~repro.core.qos.QosConstraint` is rejected: wrap it
+        as ``FarmQos.strictest(constraint)``.
         Per-tenant mode is result-invisible at farm level: budget, energy
         and ``meets_budget`` are computed exactly as without it.
     """
@@ -711,7 +713,7 @@ class ServerFarm:
     trace_backend: str = TRACE_BACKEND_MEMORY
     search_cache: CharacterizationCache | None = None
     controller: FarmController | None = None
-    qos: FarmQos | QosConstraint | None = field(default=None, kw_only=True)
+    qos: FarmQos | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.servers:
@@ -723,14 +725,10 @@ class ServerFarm:
                 "controller must be a FarmController or None, got "
                 f"{type(self.controller).__name__}"
             )
-        if isinstance(self.qos, QosConstraint):
-            # Deprecation shim: a bare constraint means the historic
-            # single-budget behaviour, made explicit.
-            self.qos = FarmQos.strictest(self.qos)
-        elif self.qos is not None and not isinstance(self.qos, FarmQos):
+        if self.qos is not None and not isinstance(self.qos, FarmQos):
             raise ConfigurationError(
-                "qos must be a FarmQos, a QosConstraint (wrapped into "
-                f"FarmQos.strictest) or None, got {type(self.qos).__name__}"
+                "qos must be a FarmQos or None (wrap a bare QosConstraint as "
+                f"FarmQos.strictest(constraint)), got {type(self.qos).__name__}"
             )
         self._check_controller_hosts_tenants()
         # Resolving validates the name and worker count up front, so a
@@ -769,6 +767,45 @@ class ServerFarm:
                 f"for each of its {num_tenants} tenants; set min_awake >= "
                 f"{num_tenants} or use the always-on policy"
             )
+
+    @classmethod
+    def homogeneous(
+        cls,
+        num_servers: int,
+        power_model: ServerPowerModel,
+        spec: WorkloadSpec,
+        strategy_factory: StrategyFactory,
+        predictor_factory: PredictorFactory,
+        *,
+        config: RuntimeConfig = RuntimeConfig(),
+        scaling: ServiceScaling | None = None,
+        max_frequency: float = 1.0,
+        **farm_fields: Any,
+    ) -> ServerFarm:
+        """A farm of ``num_servers`` identical servers named ``server-{i}``.
+
+        Every server shares *power_model*, *config*, *scaling* and
+        *max_frequency*, so speed-aware dispatch sees one speed everywhere.
+        The per-index factories are called with the server index and are
+        frozen per slot into :class:`PerIndexFactory` objects, which pickle
+        for the process executor whenever the factories themselves do.
+        *farm_fields* (``dispatcher``, ``max_workers``, ``executor``,
+        ``chunk_jobs``, ``trace_backend``, ``search_cache``, ``controller``,
+        ``qos``) pass through to the farm unchanged.
+        """
+        servers = tuple(
+            ServerSpec(
+                name=f"server-{index}",
+                power_model=power_model,
+                strategy_factory=PerIndexFactory(strategy_factory, index),
+                predictor_factory=PerIndexFactory(predictor_factory, index),
+                config=config,
+                scaling=scaling,
+                max_frequency=max_frequency,
+            )
+            for index in range(num_servers)
+        )
+        return cls(servers=servers, spec=spec, **farm_fields)
 
     @property
     def num_servers(self) -> int:
@@ -867,7 +904,7 @@ class ServerFarm:
         are a configuration error.
         """
         qos = self.qos
-        if qos is None or not isinstance(qos, FarmQos) or not qos.is_per_tenant:
+        if qos is None or not qos.is_per_tenant:
             return None
         labels = jobs.tenant_ids
         if labels is None:
@@ -911,7 +948,7 @@ class ServerFarm:
         if jobs is not None and assignment is not None:
             labels = self._tenant_labels(jobs)
             if labels is not None:
-                assert isinstance(self.qos, FarmQos)
+                assert self.qos is not None
                 tenancy = TenancyAccounting(
                     qos=self.qos,
                     tenant_ids=labels,
@@ -1184,9 +1221,7 @@ class ServerFarm:
         # Per-tenant accounting needs the full assignment; accumulate the
         # per-chunk assignments only when a per-tenant FarmQos asks for it
         # (the chunked path otherwise never materialises the whole array).
-        keep_assignment = (
-            isinstance(self.qos, FarmQos) and self.qos.is_per_tenant
-        )
+        keep_assignment = self.qos is not None and self.qos.is_per_tenant
         assignment_chunks: list[np.ndarray] = []
         # One runtime + streaming session per server.  Only serial runs
         # reach this path — ``run`` routes pooled executors to the one-shot
@@ -1200,20 +1235,11 @@ class ServerFarm:
         for start in range(0, len(jobs), chunk_jobs):
             chunk_arrivals = arrivals[start : start + chunk_jobs]
             chunk_demands = demands[start : start + chunk_jobs]
-            assignment = np.asarray(
-                assigner.assign_chunk(chunk_arrivals, chunk_demands)
+            assignment = checked_assignment(
+                assigner.assign_chunk(chunk_arrivals, chunk_demands),
+                len(chunk_arrivals),
+                self.num_servers,
             )
-            if assignment.shape != (len(chunk_arrivals),):
-                raise ConfigurationError(
-                    "dispatcher returned an assignment of the wrong shape"
-                )
-            if (
-                assignment.min(initial=0) < 0
-                or assignment.max(initial=0) >= self.num_servers
-            ):
-                raise ConfigurationError(
-                    "dispatcher assigned a job to a non-existent server"
-                )
             if keep_assignment:
                 assignment_chunks.append(
                     np.asarray(assignment, dtype=np.int64).copy()
@@ -1239,132 +1265,3 @@ class ServerFarm:
             jobs=jobs if keep_assignment else None,
             assignment=full_assignment,
         )
-
-
-@dataclass
-class ClusterRuntime:
-    """Runs one independent SleepScale (or baseline) instance per server.
-
-    Parameters
-    ----------
-    num_servers:
-        Farm size.
-    power_model, spec:
-        Shared (homogeneous) server power model and workload description.
-    strategy_factory, predictor_factory:
-        Called once per server index to create that server's strategy and
-        predictor (each server must own its state).
-    config:
-        Runtime configuration shared by all servers.
-    dispatcher:
-        How arriving jobs are split across servers (round-robin by default).
-    max_workers:
-        When > 1, run the per-server epoch loops on a process pool of this
-        size (the per-index factories must then be picklable).  No mutable
-        state is shared across servers, so the result is identical to the
-        serial run regardless of scheduling, and the farm-level
-        policy-search overhead scales with ``num_servers / max_workers``
-        instead of ``num_servers``.
-    executor:
-        Executor for the per-server epoch loops (see :class:`ServerFarm`);
-        ``"process"`` requires the per-index factories themselves to be
-        picklable (module-level functions or factory objects — they are
-        wrapped per slot in picklable :class:`PerIndexFactory` instances).
-    scaling:
-        Service-time/frequency dependence shared by all servers (``None``
-        selects the CPU-bound default).
-    max_frequency:
-        Dispatch-visible frequency ceiling shared by all servers; threaded
-        into every :class:`ServerSpec` by :meth:`as_server_farm` so the
-        work-tracking dispatchers see the same speed model either way.
-    chunk_jobs:
-        When set, farm runs stream the trace in arrival-ordered chunks of
-        this many jobs (see :meth:`ServerFarm.run`).
-    trace_backend:
-        Trace storage backend threaded into the built farm (see
-        :class:`ServerFarm` and :mod:`repro.workloads.storage`).
-    search_cache:
-        Optional characterisation cache shared by every server's strategy
-        (see :class:`ServerFarm`); in a homogeneous cluster all servers
-        have identical spec/QoS/space, the best case for sharing.
-    controller:
-        Optional farm-level right-sizing controller threaded into the
-        built farm (see :class:`ServerFarm` and
-        :mod:`repro.cluster.controller`).
-    qos:
-        Farm-level QoS contract threaded into the built farm (see
-        :class:`ServerFarm`); keyword-only, with the same
-        bare-``QosConstraint`` → ``FarmQos.strictest`` shim.
-    """
-
-    num_servers: int
-    power_model: ServerPowerModel
-    spec: WorkloadSpec
-    strategy_factory: StrategyFactory
-    predictor_factory: PredictorFactory
-    config: RuntimeConfig = field(default_factory=RuntimeConfig)
-    dispatcher: JobDispatcher = field(default_factory=RoundRobinDispatcher)
-    max_workers: int | None = None
-    executor: Executor | str | None = None
-    scaling: ServiceScaling | None = None
-    max_frequency: float = 1.0
-    chunk_jobs: int | None = None
-    trace_backend: str = TRACE_BACKEND_MEMORY
-    search_cache: CharacterizationCache | None = None
-    controller: FarmController | None = None
-    qos: FarmQos | QosConstraint | None = field(default=None, kw_only=True)
-
-    def __post_init__(self) -> None:
-        if self.num_servers < 1:
-            raise ConfigurationError(
-                f"a farm needs at least one server, got {self.num_servers}"
-            )
-        resolve_executor(self.executor, self.max_workers)
-        validate_trace_backend(self.trace_backend)
-        if isinstance(self.qos, QosConstraint):
-            self.qos = FarmQos.strictest(self.qos)
-        elif self.qos is not None and not isinstance(self.qos, FarmQos):
-            raise ConfigurationError(
-                "qos must be a FarmQos, a QosConstraint (wrapped into "
-                f"FarmQos.strictest) or None, got {type(self.qos).__name__}"
-            )
-
-    def as_server_farm(self) -> ServerFarm:
-        """The equivalent heterogeneous farm: ``num_servers`` identical specs.
-
-        The per-index factories are frozen into zero-argument
-        :class:`PerIndexFactory` objects per server slot, so running the
-        returned :class:`ServerFarm` is identical to running this cluster
-        directly (and stays picklable for the process executor whenever the
-        per-index factories are).  The shared service scaling and frequency
-        ceiling are threaded into every spec, so speed-aware dispatch sees
-        the same (homogeneous) speed on every server.
-        """
-        servers = tuple(
-            ServerSpec(
-                name=f"server-{index}",
-                power_model=self.power_model,
-                strategy_factory=PerIndexFactory(self.strategy_factory, index),
-                predictor_factory=PerIndexFactory(self.predictor_factory, index),
-                config=self.config,
-                scaling=self.scaling,
-                max_frequency=self.max_frequency,
-            )
-            for index in range(self.num_servers)
-        )
-        return ServerFarm(
-            servers=servers,
-            spec=self.spec,
-            dispatcher=self.dispatcher,
-            max_workers=self.max_workers,
-            executor=self.executor,
-            chunk_jobs=self.chunk_jobs,
-            trace_backend=self.trace_backend,
-            search_cache=self.search_cache,
-            controller=self.controller,
-            qos=self.qos,
-        )
-
-    def run(self, jobs: JobTrace, *, chunk_jobs: int | None = None) -> FarmResult:
-        """Dispatch *jobs* across the farm and run every server's epoch loop."""
-        return self.as_server_farm().run(jobs, chunk_jobs=chunk_jobs)

@@ -297,7 +297,7 @@ def run_scenario(
     setup_latency_s: float | None = None,
     setup_energy_j: float | None = None,
     min_awake: int | None = None,
-    qos: FarmQos | QosConstraint | None = None,
+    qos: FarmQos | None = None,
     tenants: list[str] | None = None,
     isolation: bool = False,
     overrides: Mapping[str, Any] | None = None,

@@ -34,7 +34,6 @@ from typing import Any
 from repro.cluster.controller import FarmController
 from repro.cluster.farm import ServerFarm
 from repro.cluster.tenancy import FarmQos
-from repro.core.qos import QosConstraint
 from repro.concurrency import Executor, validate_executor
 from repro.core.search import SEARCH_FRONTIER, validate_search
 from repro.exceptions import ScenarioError
@@ -163,7 +162,7 @@ class Scenario:
         executor: Executor | str | None = None,
         trace_backend: str | None = None,
         controller: FarmController | str | None = None,
-        qos: FarmQos | QosConstraint | None = None,
+        qos: FarmQos | None = None,
         **overrides: Any,
     ) -> BuiltScenario:
         """Materialise the scenario with *overrides* applied over the defaults.
@@ -188,10 +187,10 @@ class Scenario:
         the executor and trace backend it *does* change results, except for
         the setup-free ``"always-on"`` identity the parity suite pins.
         ``qos`` attaches a farm-level QoS contract (a
-        :class:`~repro.cluster.tenancy.FarmQos`, or a bare
-        :class:`~repro.core.qos.QosConstraint` wrapped into
-        ``FarmQos.strictest``) to the built farm, replacing any the builder
-        embedded; it is result-invisible at farm level — ``strictest`` is
+        :class:`~repro.cluster.tenancy.FarmQos`; wrap a bare
+        :class:`~repro.core.qos.QosConstraint` as
+        ``FarmQos.strictest(constraint)``) to the built farm, replacing any
+        the builder embedded; it is result-invisible at farm level — ``strictest`` is
         pinned bit-identical to no qos at all, and per-tenant mode only
         adds accounting.
         """
@@ -207,10 +206,10 @@ class Scenario:
                 "controller must be a FarmController, a policy name or None, "
                 f"got {type(controller).__name__}"
             )
-        if qos is not None and not isinstance(qos, (FarmQos, QosConstraint)):
+        if qos is not None and not isinstance(qos, FarmQos):
             raise ScenarioError(
-                "qos must be a FarmQos, a QosConstraint or None, "
-                f"got {type(qos).__name__}"
+                "qos must be a FarmQos or None (wrap a bare QosConstraint as "
+                f"FarmQos.strictest(constraint)), got {type(qos).__name__}"
             )
         declared = {parameter.name for parameter in self.parameters}
         unknown = sorted(set(overrides) - declared)

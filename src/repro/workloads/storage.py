@@ -6,8 +6,8 @@ it matters for process-sharded runs: by default the process executor
 pickles each server's full dispatched sub-stream into its shard task, so a
 million-job farm serialises the whole trace once per farm.  This module
 makes the storage pluggable (the ``trace_backend`` knob on
-:class:`~repro.cluster.farm.ServerFarm`, :class:`~repro.cluster.farm.ClusterRuntime`,
-``Scenario.build`` and the ``run-scenario`` CLI):
+:class:`~repro.cluster.farm.ServerFarm`, ``Scenario.build`` and the
+``run-scenario`` CLI):
 
 * ``"memory"`` — plain in-process ndarrays; the default.  Process shards
   carry pickled array copies.

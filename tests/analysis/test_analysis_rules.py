@@ -138,6 +138,19 @@ class TestREP002Picklability:
         )
         assert len(run_rule("REP002", fan, path=TESTS)) == 1
 
+    def test_homogeneous_farm_lambda_flagged_in_src_only(self):
+        source = (
+            "def build(power_model, spec):\n"
+            "    return ServerFarm.homogeneous(\n"
+            "        2, power_model, spec,\n"
+            "        strategy_factory=lambda i: i, predictor_factory=make,\n"
+            "    )\n"
+        )
+        (finding,) = run_rule("REP002", source)
+        assert "homogeneous" in finding.message
+        assert "strategy_factory=" in finding.message
+        assert run_rule("REP002", source, path=TESTS) == []
+
     def test_class_attribute_lambda_flagged_in_src_only(self):
         source = "class Spec:\n    factory = lambda index: index\n"
         (finding,) = run_rule("REP002", source)

@@ -7,7 +7,7 @@ trace-backend parity suites): attaching a ``FarmController`` whose policy is
 energy, same per-server response-time arrays (hence dispatch assignments),
 same per-epoch policy selections.  This suite pins that across every
 registered scenario and the full executor × trace-backend grid, plus the
-``ClusterRuntime`` threading and the ``Scenario.build``/CLI plumbing.
+``ServerFarm.homogeneous`` threading and the ``Scenario.build``/CLI plumbing.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ class TestControllerPlumbing:
             chunked.farm.run(chunked.jobs, chunk_jobs=64),
         )
 
-    def test_cluster_runtime_threads_the_controller_through(self):
-        from repro.cluster.farm import ClusterRuntime
+    def test_homogeneous_farm_threads_the_controller_through(self):
+        from repro.cluster.farm import ServerFarm
         from repro.core.runtime import RuntimeConfig
         from repro.power.platform import xeon_power_model
         from repro.workloads.generator import generate_jobs
@@ -162,7 +162,7 @@ class TestControllerPlumbing:
         jobs = generate_jobs(spec, num_jobs=1500, utilization=0.4, seed=3)
 
         def cluster(controller):
-            return ClusterRuntime(
+            return ServerFarm.homogeneous(
                 num_servers=3,
                 power_model=xeon_power_model(),
                 spec=spec,
@@ -174,7 +174,7 @@ class TestControllerPlumbing:
 
         plain = cluster(None)
         controlled = cluster(_free_always_on())
-        assert controlled.as_server_farm().controller is not None
+        assert controlled.controller is not None
         assert_farm_results_identical(plain.run(jobs), controlled.run(jobs))
 
     def test_run_scenario_rejects_controller_override(self):

@@ -5,8 +5,8 @@ The executor contract for farms (the PR 5 analogue of the backend, dispatch
 per-server epoch loops, a farm produces **bit-identical** ``FarmResult``s —
 same total energy, same per-server dispatch assignments (hence per-server
 response-time arrays), and same per-epoch policy selections.  This suite
-pins that across every registered scenario, for ``ClusterRuntime`` farms,
-for chunked runs, and for the other ``fan_out`` call sites
+pins that across every registered scenario, for ``ServerFarm.homogeneous``
+farms, for chunked runs, and for the other ``fan_out`` call sites
 (``sweep_states``, ``run_experiments``).
 """
 
@@ -135,11 +135,9 @@ def _predictor_for(index: int):
     return LmsCusumPredictor(history=10)
 
 
-class TestClusterRuntimeParity:
+class TestHomogeneousFarmParity:
     def make_cluster(self, spec, executor=None, workers=None, chunk=None):
-        from repro.cluster.farm import ClusterRuntime
-
-        return ClusterRuntime(
+        return ServerFarm.homogeneous(
             num_servers=3,
             power_model=xeon_power_model(),
             spec=spec,
@@ -180,7 +178,7 @@ class TestClusterRuntimeParity:
     def test_per_index_factories_pickle(self):
         import pickle
 
-        farm = self.make_cluster(dns_workload()).as_server_farm()
+        farm = self.make_cluster(dns_workload())
         pickle.dumps(farm.servers[0].strategy_factory)
         pickle.dumps(farm.servers[-1].predictor_factory)
 

@@ -15,14 +15,16 @@ import functools
 import numpy as np
 import pytest
 
+from repro.cluster.controller import FarmController, SetupModel
 from repro.cluster.dispatch import (
+    JobDispatcher,
     LeastLoadedDispatcher,
     PowerAwareDispatcher,
     RandomDispatcher,
     RoundRobinDispatcher,
+    StreamAssigner,
 )
 from repro.cluster.farm import (
-    ClusterRuntime,
     FarmResult,
     ServerFarm,
     ServerSpec,
@@ -134,12 +136,12 @@ class TestChunkedFarmRuns:
         assert chunked.idle_energies == pytest.approx(one_shot.idle_energies)
         assert chunked.total_energy == pytest.approx(one_shot.total_energy)
 
-    def test_cluster_runtime_supports_chunking(self, dns_empirical, busy_workload):
+    def test_homogeneous_farm_supports_chunking(self, dns_empirical, busy_workload):
         xeon = xeon_power_model()
         policy = race_to_halt_policy(xeon, C6_S0I)
 
         def build(chunk_jobs=None):
-            return ClusterRuntime(
+            return ServerFarm.homogeneous(
                 num_servers=3,
                 power_model=xeon,
                 spec=dns_empirical,
@@ -164,6 +166,68 @@ class TestChunkedFarmRuns:
         farm = ServerFarm(servers=mixed_servers, spec=dns_empirical)
         with pytest.raises(ConfigurationError, match="chunk_jobs"):
             farm.run(busy_workload, chunk_jobs=-1)
+
+
+class _BrokenAssigner(StreamAssigner):
+    """Returns one server index too many, or an index past the farm."""
+
+    def __init__(self, num_servers, fault):
+        super().__init__(num_servers)
+        self.fault = fault
+
+    def assign_chunk(self, arrival_times, service_demands):
+        count = len(arrival_times)
+        if self.fault == "shape":
+            return np.zeros(count + 1, dtype=np.int64)
+        return np.full(count, self.num_servers, dtype=np.int64)
+
+
+class _BrokenDispatcher(JobDispatcher):
+    def __init__(self, fault):
+        self.fault = fault
+
+    def assigner(self, num_servers, **_):
+        return _BrokenAssigner(num_servers, self.fault)
+
+
+class TestMisbehavingDispatcher:
+    """Every run path checks the dispatcher's output before using it."""
+
+    MESSAGES = {
+        ("one-shot", "shape"): "^dispatcher returned an assignment of the wrong shape",
+        ("one-shot", "range"): "^dispatcher assigned a job to a non-existent server",
+        ("chunked", "shape"): "^dispatcher returned an assignment of the wrong shape",
+        ("chunked", "range"): "^dispatcher assigned a job to a non-existent server",
+        ("controlled", "shape"): (
+            "^restricted dispatcher returned an assignment of the wrong shape"
+        ),
+        ("controlled", "range"): (
+            "^restricted dispatcher assigned a job outside the serviceable set"
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", ["shape", "range"])
+    @pytest.mark.parametrize("path", ["one-shot", "chunked", "controlled"])
+    def test_bad_assignment_rejected(
+        self, path, fault, dns_empirical, mixed_servers, busy_workload
+    ):
+        # A reactive controller parks servers on this trace, so the
+        # controlled run dispatches per regime, not through the always-on
+        # bypass.
+        controller = (
+            FarmController(policy="reactive", setup=SetupModel.free())
+            if path == "controlled"
+            else None
+        )
+        farm = ServerFarm(
+            servers=mixed_servers,
+            spec=dns_empirical,
+            dispatcher=_BrokenDispatcher(fault),
+            controller=controller,
+        )
+        chunk_jobs = 64 if path == "chunked" else None
+        with pytest.raises(ConfigurationError, match=self.MESSAGES[path, fault]):
+            farm.run(busy_workload, chunk_jobs=chunk_jobs)
 
 
 class TestDispatchSpeedThreading:
@@ -208,9 +272,9 @@ class TestDispatchSpeedThreading:
         blind = LeastLoadedDispatcher().assign(busy_workload, 2)
         assert not np.array_equal(expected, blind)
 
-    def test_cluster_runtime_threads_speed_model(self, dns_empirical):
+    def test_homogeneous_farm_threads_speed_model(self, dns_empirical):
         xeon = xeon_power_model()
-        cluster = ClusterRuntime(
+        farm = ServerFarm.homogeneous(
             num_servers=2,
             power_model=xeon,
             spec=dns_empirical,
@@ -221,7 +285,6 @@ class TestDispatchSpeedThreading:
             scaling=partially_bound(0.5),
             max_frequency=0.25,
         )
-        farm = cluster.as_server_farm()
         assert farm.dispatch_speeds == (pytest.approx(0.5), pytest.approx(0.5))
         assert all(spec.scaling == partially_bound(0.5) for spec in farm.servers)
 

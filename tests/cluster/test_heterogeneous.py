@@ -23,7 +23,7 @@ from repro.cluster.dispatch import (
     PowerAwareDispatcher,
     merge_streams,
 )
-from repro.cluster.farm import ClusterRuntime, ServerFarm, ServerSpec
+from repro.cluster.farm import ServerFarm, ServerSpec
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import FixedPolicyStrategy
 from repro.exceptions import ConfigurationError
@@ -184,13 +184,13 @@ class TestServerFarm:
         result = farm.run(busy_workload)
         assert result.response_time_budget == pytest.approx(2.5)
 
-    def test_matches_cluster_runtime_for_homogeneous_farm(
+    def test_matches_homogeneous_constructor(
         self, dns_empirical, busy_workload
     ):
         xeon = xeon_power_model()
         policy = race_to_halt_policy(xeon, C6_S0I)
         config = RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.0)
-        cluster = ClusterRuntime(
+        homogeneous = ServerFarm.homogeneous(
             num_servers=3,
             power_model=xeon,
             spec=dns_empirical,
@@ -205,12 +205,13 @@ class TestServerFarm:
             ),
             spec=dns_empirical,
         )
-        from_cluster = cluster.run(busy_workload)
+        from_homogeneous = homogeneous.run(busy_workload)
         from_farm = farm.run(busy_workload)
-        assert from_cluster.num_jobs == from_farm.num_jobs
-        assert from_cluster.total_energy == pytest.approx(from_farm.total_energy)
+        assert from_homogeneous.num_jobs == from_farm.num_jobs
+        assert from_homogeneous.total_energy == pytest.approx(from_farm.total_energy)
         np.testing.assert_array_equal(
-            np.sort(from_cluster.response_times), np.sort(from_farm.response_times)
+            np.sort(from_homogeneous.response_times),
+            np.sort(from_farm.response_times),
         )
 
     def test_pooled_matches_serial(self, dns_empirical, busy_workload):

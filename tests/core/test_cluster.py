@@ -1,4 +1,4 @@
-"""Tests for the multi-server farm substrate (dispatchers and ClusterRuntime)."""
+"""Tests for the multi-server farm substrate (dispatchers and homogeneous farms)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.dispatch import RandomDispatcher, RoundRobinDispatcher, merge_streams
-from repro.cluster.farm import ClusterRuntime, FarmResult
+from repro.cluster.farm import FarmResult, ServerFarm
 from repro.core.qos import mean_qos_from_baseline
 from repro.core.runtime import RuntimeConfig
 from repro.core.strategies import FixedPolicyStrategy, race_to_halt_c6, sleepscale_strategy
@@ -77,9 +77,9 @@ class TestDispatchers:
             assert stream.offered_load < jobs.offered_load / 2
 
 
-class TestClusterRuntime:
+class TestHomogeneousFarm:
     def make_cluster(self, xeon, spec, num_servers, strategy_factory):
-        return ClusterRuntime(
+        return ServerFarm.homogeneous(
             num_servers=num_servers,
             power_model=xeon,
             spec=spec,
@@ -131,7 +131,7 @@ class TestClusterRuntime:
                 xeon, qos, characterization_jobs=500, seed=index
             )
 
-        sleepscale_farm = ClusterRuntime(
+        sleepscale_farm = ServerFarm.homogeneous(
             num_servers=3,
             power_model=xeon,
             spec=dns_empirical,
@@ -139,7 +139,7 @@ class TestClusterRuntime:
             predictor_factory=lambda index: LmsCusumPredictor(history=10),
             config=RuntimeConfig(epoch_minutes=5.0, rho_b=0.8, over_provisioning=0.35),
         ).run(farm_workload.jobs)
-        race_farm = ClusterRuntime(
+        race_farm = ServerFarm.homogeneous(
             num_servers=3,
             power_model=xeon,
             spec=dns_empirical,
@@ -163,7 +163,7 @@ class TestClusterRuntime:
 
     def test_validation(self, xeon, dns_empirical):
         with pytest.raises(ConfigurationError):
-            ClusterRuntime(
+            ServerFarm.homogeneous(
                 num_servers=0,
                 power_model=xeon,
                 spec=dns_empirical,
@@ -201,7 +201,7 @@ class TestParallelFarm:
 
     def make_cluster(self, xeon, spec, num_servers, max_workers=None):
         policy = race_to_halt_policy(xeon, C6_S0I)
-        return ClusterRuntime(
+        return ServerFarm.homogeneous(
             num_servers=num_servers,
             power_model=xeon,
             spec=spec,

@@ -19,7 +19,7 @@ import pytest
 import repro.core.search as search_module
 import repro.simulation.kernel as kernel_module
 
-from repro.cluster.farm import ClusterRuntime, ServerFarm, ServerSpec
+from repro.cluster.farm import ServerFarm, ServerSpec
 from repro.core.policy_manager import PolicyManager, evaluation_from_result
 from repro.core.qos import (
     PercentileResponseTimeConstraint,
@@ -662,9 +662,9 @@ class TestFarmThreading:
             strategy.policy_manager.search_cache is cache for strategy in built
         )
 
-    def test_cluster_runtime_passes_cache_through(self, xeon, dns_ideal):
+    def test_homogeneous_farm_passes_cache_through(self, xeon, dns_ideal):
         cache = CharacterizationCache()
-        cluster = ClusterRuntime(
+        farm = ServerFarm.homogeneous(
             num_servers=2,
             power_model=xeon,
             spec=dns_ideal,
@@ -679,4 +679,4 @@ class TestFarmThreading:
             config=RuntimeConfig(epoch_minutes=1.0),
             search_cache=cache,
         )
-        assert cluster.as_server_farm().search_cache is cache
+        assert farm.search_cache is cache
