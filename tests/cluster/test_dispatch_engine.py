@@ -4,7 +4,8 @@ backlog.
 Mirroring the simulation backend suite, least-loaded dispatch must produce
 **byte-identical** assignments on its ``"heap"`` (fast) and ``"loop"``
 (reference oracle) engines, across traffic regimes, farm sizes, speed
-models and crafted tie cases.  Power-aware dispatch has one engine; its
+models and crafted tie cases.  Power-aware dispatch has one engine; it
+must match a job-by-job numpy reference oracle byte for byte, and its
 packing rule is pinned by crafted cases.  Streaming assignment (chunked)
 must be identical to one-shot assignment for *every* dispatcher.  The
 heterogeneity-blind backlog bug and the RandomDispatcher determinism bug
@@ -64,6 +65,32 @@ TIE_TRACES = [
 ]
 
 
+def power_aware_reference(jobs, idle_powers, max_backlog, speeds):
+    """Reference oracle for power-aware dispatch, job by job in numpy.
+
+    Each job goes to the lowest-idle-power server (stable ranking) whose
+    estimated finish time is within *max_backlog* of the job's arrival;
+    when none is, to the first server with the smallest finish time.  The
+    finish-time arithmetic is :class:`WorkTracker`'s.  ``None`` means
+    ``4 x`` the trace's mean service demand.
+    """
+    threshold = (
+        4.0 * jobs.mean_service_demand if max_backlog is None else max_backlog
+    )
+    ranking = np.argsort(np.asarray(idle_powers, dtype=float), kind="stable")
+    tracker = WorkTracker(len(idle_powers), speeds)
+    assignment = np.empty(len(jobs), dtype=np.int64)
+    for index, (arrival, demand) in enumerate(
+        zip(jobs.arrival_times.tolist(), jobs.service_demands.tolist())
+    ):
+        busy = np.asarray(tracker.busy_until)
+        eligible = busy[ranking] <= arrival + threshold
+        server = int(ranking[np.argmax(eligible)] if eligible.any() else np.argmin(busy))
+        assignment[index] = server
+        tracker.charge(server, arrival, demand)
+    return assignment
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("utilization", UTILIZATIONS)
     @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES)
@@ -77,6 +104,22 @@ class TestEngineEquivalence:
         )
         np.testing.assert_array_equal(heap, loop)
 
+    @pytest.mark.parametrize("utilization", UTILIZATIONS)
+    @pytest.mark.parametrize("num_servers,speeds", SPEED_CASES)
+    @pytest.mark.parametrize("max_backlog", [None, 0.05, 1.0])
+    def test_power_aware_byte_identical(
+        self, utilization, num_servers, speeds, max_backlog
+    ):
+        jobs = poisson_jobs(3000, utilization, seed=int(utilization * 10) + 1)
+        idle_powers = list(np.linspace(4.0, 20.0, num_servers))
+        assignment = PowerAwareDispatcher(
+            idle_powers, max_backlog=max_backlog
+        ).assign(jobs, num_servers, server_speeds=speeds)
+        np.testing.assert_array_equal(
+            assignment,
+            power_aware_reference(jobs, idle_powers, max_backlog, speeds),
+        )
+
     @pytest.mark.parametrize("trace_index", range(len(TIE_TRACES)))
     @pytest.mark.parametrize("num_servers", [2, 4])
     def test_exact_ties_byte_identical(self, trace_index, num_servers):
@@ -84,6 +127,11 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(
             LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
             LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
+        )
+        idle_powers = list(range(1, num_servers + 1))
+        np.testing.assert_array_equal(
+            PowerAwareDispatcher(idle_powers).assign(jobs, num_servers),
+            power_aware_reference(jobs, idle_powers, None, None),
         )
 
     def test_rounding_boundary_run_blocks_stay_identical(self):
@@ -97,7 +145,8 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_coarse_decimal_traces_stay_identical(self, seed):
         """Coarse decimal values maximise exact float coincidences — the
-        hostile case for the heap engine's vectorised merge blocks."""
+        hostile case for the heap engine's vectorised merge blocks and for
+        the power-aware threshold and fallback ties."""
         rng = np.random.default_rng(seed)
         count = 400
         jobs = JobTrace(
@@ -109,6 +158,14 @@ class TestEngineEquivalence:
                 LeastLoadedDispatcher(ENGINE_HEAP).assign(jobs, num_servers),
                 LeastLoadedDispatcher(ENGINE_LOOP).assign(jobs, num_servers),
             )
+            idle_powers = list(np.linspace(1.0, 3.0, num_servers))
+            for max_backlog in (0.3, None):
+                np.testing.assert_array_equal(
+                    PowerAwareDispatcher(idle_powers, max_backlog=max_backlog).assign(
+                        jobs, num_servers
+                    ),
+                    power_aware_reference(jobs, idle_powers, max_backlog, None),
+                )
 
     def test_engine_validation(self):
         assert validate_engine(ENGINE_HEAP) == "heap"
