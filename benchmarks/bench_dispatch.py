@@ -8,9 +8,11 @@ Measures the dispatch-engine contract end to end:
   heavy aggregate traffic spread over 16 servers — is the headline),
   including the one- and two-server saturated regimes a right-sizing
   controller leaves at peak;
-* ``PriorityDispatcher`` on a two-tenant burst vs. the plain transcription
-  of its rule in ``tests/cluster/priority_reference.py``, asserting
-  byte-identical assignments;
+* ``PriorityDispatcher`` on a two-tenant burst (four servers, and the
+  two-server tenant-burst shape) and on the bottom tenant's solo stream
+  vs. the plain transcription of its rule in
+  ``tests/cluster/priority_reference.py``, asserting byte-identical
+  assignments;
 * a chunked (streaming) ``ServerFarm.run`` behind a
   ``PowerAwareDispatcher`` vs. the one-shot path on a reduced trace,
   asserting equivalence within ``rtol <= 1e-9``.  Power-aware dispatch
@@ -85,6 +87,12 @@ def labelled_jobs(num_jobs: int, utilization: float, seed: int) -> JobTrace:
     return jobs.with_tenant_ids(labels)
 
 
+def crowd_solo_jobs(num_jobs: int, utilization: float, seed: int) -> JobTrace:
+    """:func:`synthetic_jobs` labelled as the crowd alone (its isolation replay)."""
+    jobs = synthetic_jobs(num_jobs, utilization, seed)
+    return jobs.with_tenant_ids(np.zeros(num_jobs, dtype=np.int64))
+
+
 #: The two tenants of the noisy-neighbor scenario: a low-priority crowd and
 #: a protected high-priority victim.
 PRIORITY_TENANTS = (
@@ -142,9 +150,15 @@ def bench_dispatchers(num_jobs: int, seed: int) -> dict:
         # autoscale-day workload): one or two awake servers running hot.
         "least_loaded_two_server_saturated": (least_loaded, 2.5, 2, None, synthetic_jobs),
         "least_loaded_one_server": (least_loaded, 0.9, 1, None, synthetic_jobs),
-        # The tenant-burst workload's shape: two tenants on four servers
-        # under a load that saturates the crowd's block.
+        # Two tenants on four servers (two-server blocks, so the per-job
+        # block scan runs) under a load that saturates the crowd's block.
         "priority_two_tenant_burst": (priority, 3.0, 4, None, labelled_jobs),
+        # The tenant-burst workload's shape: two tenants on two servers,
+        # one server per block.
+        "priority_two_server_burst": (priority, 3.0, 2, None, labelled_jobs),
+        # The crowd's isolation replay on that farm: the bottom tenant's
+        # solo stream, which never reads tracked state.
+        "priority_bottom_tenant_solo": (priority, 3.0, 2, None, crowd_solo_jobs),
     }
     results = {}
     for name, ((fast, oracle), utilization, servers, speeds, build) in cases.items():

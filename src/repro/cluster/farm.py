@@ -1244,10 +1244,11 @@ class ServerFarm:
                 assignment_chunks.append(
                     np.asarray(assignment, dtype=np.int64).copy()
                 )
-            for server in np.unique(assignment).tolist():
+            counts = np.bincount(assignment, minlength=self.num_servers)
+            for server in np.flatnonzero(counts).tolist():
                 mask = assignment == server
                 sessions[server].feed(chunk_arrivals[mask], chunk_demands[mask])
-                fed_jobs[server] += int(np.count_nonzero(mask))
+                fed_jobs[server] += int(counts[server])
         if not any(fed_jobs):
             raise ConfigurationError("no server received any job")
         per_server: list[RuntimeResult | None] = [

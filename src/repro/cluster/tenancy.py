@@ -425,9 +425,24 @@ class _PriorityAssigner(StreamAssigner):
     lower-priority server, and only one that is tracked-idle (it would
     start the job immediately).  A lower-priority flood therefore never
     occupies higher blocks, and a higher-priority tenant never queues
-    behind a lower-priority backlog.  With one tenant the block is the
-    whole fleet and the per-job scan is exactly the least-loaded loop
-    engine.
+    behind a lower-priority backlog.
+
+    The constructor compiles the rule into a plan with one entry per
+    tenant label, ``(home, block_stop, overflow)``: the block's first
+    server, its end (``None`` for a one-server block, whose only server
+    is the least-loaded one without a scan) and the lower-priority
+    servers in overflow order.  Multi-server blocks scan
+    ``busy[home:block_stop]`` for the first least-loaded server.  With one
+    tenant the block is the whole fleet and the per-job scan is exactly
+    the least-loaded loop engine.
+
+    A stream is *state-free* when every label in it belongs to a tenant
+    whose block is one server and that has no lower-priority server to
+    overflow onto (the isolation replay of the bottom tenant, or an
+    unlabelled one-server farm).  Every job then lands on that one server
+    whatever the tracked state, and no job of the stream can read it, so
+    each chunk is ``home`` throughout and nothing is tracked.  The
+    constructor decides this once, from the labels' minimum and maximum.
     """
 
     def __init__(
@@ -441,17 +456,30 @@ class _PriorityAssigner(StreamAssigner):
         order = sorted(
             range(len(tenants)), key=lambda t: (-tenants[t].priority, t)
         )
-        ordered = [tenants[t] for t in order]
-        partitions = tenant_partitions(num_servers, ordered)
-        # Each tenant's reserved block as a (start, stop) server range.
-        self._blocks = [(0, 0)] * len(tenants)
-        for rank, tenant_index in enumerate(order):
-            start, size = partitions[rank]
-            self._blocks[tenant_index] = (start, start + size)
+        partitions = tenant_partitions(num_servers, [tenants[t] for t in order])
+        # Per tenant label: (home, block_stop or None, overflow servers).
+        self._plan: list[tuple[int, int | None, tuple[int, ...]]] = [
+            (0, None, ())
+        ] * len(tenants)
+        for tenant_index, (start, size) in zip(order, partitions):
+            stop = start + size
+            self._plan[tenant_index] = (
+                start,
+                None if size == 1 else stop,
+                tuple(range(stop, num_servers)),
+            )
         self._tracker = WorkTracker(num_servers, server_speeds)
-        self._cursor = _TenantChunkCursor(
-            _resolve_tenant_ids(tenant_ids, len(tenants), "priority")
-        )
+        labels = _resolve_tenant_ids(tenant_ids, len(tenants), "priority")
+        self._cursor = _TenantChunkCursor(labels)
+        # An empty label array may pass as label 0: the cursor rejects any
+        # job of such a stream before the state-free shortcut is reached.
+        lowest = highest = 0
+        if labels is not None and labels.size:
+            lowest, highest = int(labels.min()), int(labels.max())
+        home, block_stop, overflow = self._plan[lowest]
+        state_free = lowest == highest and block_stop is None and not overflow
+        # The one server every job of a state-free stream lands on.
+        self._solo_home = home if state_free else None
 
     def assign_chunk(
         self,
@@ -461,11 +489,12 @@ class _PriorityAssigner(StreamAssigner):
         arrivals = np.asarray(arrival_times, dtype=float)
         count = len(arrivals)
         labels = self._cursor.take(count)
+        if self._solo_home is not None:
+            return np.full(count, self._solo_home, dtype=np.int64)
         assignment = np.empty(count, dtype=np.int64)
         busy = self._tracker.busy_until
         factors = self._tracker.time_factors
-        num_servers = self.num_servers
-        blocks = [(0, num_servers)] if labels is None else self._blocks
+        plan = self._plan
         # Iterating memoryviews yields Python floats and ints without list
         # copies; assignments are written back one bounded slice at a time.
         arrival_view = memoryview(arrivals)
@@ -479,15 +508,16 @@ class _PriorityAssigner(StreamAssigner):
                 demand_view[lo:hi],
                 itertools.repeat(0) if label_view is None else label_view[lo:hi],
             ):
-                start, stop = blocks[label]
-                block = busy[start:stop]
-                server = start + block.index(min(block))
+                server, block_stop, overflow = plan[label]
+                if block_stop is not None:
+                    block = busy[server:block_stop]
+                    server += block.index(min(block))
                 free_at = busy[server]
                 if free_at > arrival:
                     # Own block saturated: overflow onto the first idle
                     # lower-priority server, if any (it starts the job now,
                     # beating any own-block queue).
-                    for lower in range(stop, num_servers):
+                    for lower in overflow:
                         if busy[lower] <= arrival:
                             server = lower
                             free_at = busy[lower]
@@ -640,7 +670,10 @@ def latency_only_result(
     response_times = np.asarray(response_times, dtype=float)
     return SimulationResult(
         response_times=response_times,
-        waiting_times=np.zeros_like(response_times),
+        # Unlike zeros_like, np.zeros takes pre-zeroed pages and never
+        # touches them, so judging a tenant adds no resident trace-length
+        # array.
+        waiting_times=np.zeros(response_times.shape),
         energy=EnergyBreakdown(0.0, 0.0, 0.0),
         horizon=horizon if horizon > 0 else 1.0,
         mean_service_demand=mean_service_time,

@@ -925,9 +925,9 @@ def build_heterogeneous_farm(
     name="farm-scale",
     description=(
         "Constant heavy load streamed over a 16-server mixed Xeon/Atom fleet: "
-        "the speed-aware heap dispatcher assigns ~1M jobs (at defaults) and "
-        "the farm consumes them in arrival-ordered chunks, never "
-        "materialising every per-server stream at once."
+        "the power-aware dispatcher's speed-aware per-job scan assigns ~1M "
+        "jobs (at defaults) and the farm consumes them in arrival-ordered "
+        "chunks, never materialising every per-server stream at once."
     ),
     parameters=(
         ScenarioParameter("duration_minutes", 80, "length of the run (~1M Google-like jobs at defaults)"),
